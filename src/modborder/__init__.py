@@ -44,7 +44,7 @@ from .quotient import (
     check_quotient_basis,
     quotient_border_basis,
 )
-from .ring import ORDER_NAMES, Poly, TermOrder, Vector, compare
+from .ring import ORDER_NAMES, Poly, TermOrder, Vector
 from .subideal import (
     FOrderIdeal,
     SubidealContext,
@@ -79,7 +79,6 @@ __all__ = [
     "check_quotient_basis",
     "check_subideal_basis",
     "commuting_check",
-    "compare",
     "compute_order_module",
     "degree_universe",
     "divide",

@@ -139,23 +139,33 @@ def divide(g, v, choose=None):
     """
     _check_compat(g, v)
     om = g.om
-    nvars = om.nvars
-    quotients = [Poly.zero(nvars) for _ in range(om.nu)]
-    q = v
-    while not q.is_zero():
-        ind = om.index_vec(q)
+    index, mod_key = om.index, om.order.mod_key
+    quotients = [{} for _ in range(om.nu)]
+    q = dict(v.coeffs)
+    while q:
+        inds = {mt: index(mt) for mt in q}
+        ind = max(inds.values())
         if ind == 0:
             break
-        cands = [mt for mt in q.support() if om.index(mt) == ind]
-        cands.sort(key=om.order.mod_key, reverse=True)
+        cands = [mt for mt, i in inds.items() if i == ind]
+        cands.sort(key=mod_key, reverse=True)
         mt = cands[0] if choose is None else choose(cands)
-        a = q.coeff(mt)
+        a = q[mt]
         tprime, bmt = om.factor_through_border(mt)
         j = om.border_pos[bmt]
-        quotients[j] = quotients[j] + Poly.monomial(nvars, tprime, a)
-        q = q - g.vector(j).mul_term(tprime, a)
-    coords = [q.coeff(mt) for mt in om.module_terms]
-    return DivisionResult(quotients, coords)
+        pj = quotients[j]
+        pj[tprime] = pj.get(tprime, 0) + a
+        # q -= a * t' * G_j; a and every coefficient of G_j are nonzero, so a
+        # sum that cancels had its key in q
+        for (s, k), c in g.vector(j).coeffs.items():
+            key = (term_mul(tprime, s), k)
+            r = q.get(key, 0) - a * c
+            if r:
+                q[key] = r
+            else:
+                del q[key]
+    coords = [q.get(mt, Fraction(0)) for mt in om.module_terms]
+    return DivisionResult([Poly(om.nvars, p) for p in quotients], coords)
 
 
 def remainder_vector(g, coords):

@@ -38,9 +38,6 @@ class RatMatrix:
             cols = len(rows[0]) if rows else 0
         return cls(len(rows), cols, rows)
 
-    def row(self, i):
-        return list(self.data[i])
-
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")

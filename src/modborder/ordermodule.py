@@ -19,9 +19,14 @@ def _term_str(t):
 
 
 class OrderIdeal:
-    """A finite, divisor-closed set of terms (possibly empty)."""
+    """A finite, divisor-closed set of terms (possibly empty).
 
-    __slots__ = ("nvars", "terms")
+    An order ideal is immutable after construction, so its first border and
+    the index of each term looked up are computed once, on first use, and
+    kept on the instance.
+    """
+
+    __slots__ = ("nvars", "terms", "_border1", "_index")
 
     def __init__(self, nvars, terms):
         terms = frozenset(tuple(t) for t in terms)
@@ -38,6 +43,8 @@ class OrderIdeal:
                         )
         self.nvars = nvars
         self.terms = terms
+        self._border1 = None
+        self._index = {}
 
     def is_empty(self):
         return not self.terms
@@ -58,9 +65,20 @@ class OrderIdeal:
     def border(self, k=1):
         """The k-th border, by the closed formula
         ((T_k * O) u T_{k-1}) \\ (T_{<k} * O); the k-th border of the empty
-        order ideal is the set of terms of degree exactly k-1."""
+        order ideal is the set of terms of degree exactly k-1.  The first
+        border is kept and returned as a frozenset."""
         if k < 1:
             raise PreconditionError(f"border index must be >= 1, got {k}")
+        if k == 1:
+            return self._first_border()
+        return self._closed_border(k)
+
+    def _first_border(self):
+        if self._border1 is None:
+            self._border1 = frozenset(self._closed_border(1))
+        return self._border1
+
+    def _closed_border(self, k):
         n = self.nvars
         top = {
             term_mul(u, t)
@@ -87,12 +105,18 @@ class OrderIdeal:
 
     def index(self, t):
         """The unique i with t in the i-th border of this order ideal."""
+        ind = self._index.get(t)
+        if ind is None:
+            ind = self._index[t] = self._scan_index(t)
+        return ind
+
+    def _scan_index(self, t):
         if t in self.terms:
             return 0
         if not self.terms:
             return term_deg(t) + 1
         best = None
-        for b in self.border(1):
+        for b in self._first_border():
             if term_divides(b, t):
                 gap = term_deg(t) - term_deg(b)
                 if best is None or gap < best:
@@ -107,7 +131,7 @@ class OrderIdeal:
                 return set()
             return {(0,) * self.nvars}
         out = set()
-        for b in self.border(1):
+        for b in self._first_border():
             if all(
                 tuple(f - 1 if j == i else f for j, f in enumerate(b))
                 in self.terms
@@ -136,6 +160,7 @@ class OrderModule:
         "border_terms",
         "module_pos",
         "border_pos",
+        "_factor",
     )
 
     def __init__(self, ideals, order, nvars=None):
@@ -159,6 +184,7 @@ class OrderModule:
             self.border_terms.extend((b, k) for b in bdesc)
         self.module_pos = {mt: i for i, mt in enumerate(self.module_terms)}
         self.border_pos = {mt: j for j, mt in enumerate(self.border_terms)}
+        self._factor = {}
 
     @property
     def mu(self):
@@ -205,7 +231,14 @@ class OrderModule:
 
     def factor_through_border(self, mt):
         """Factor t*e_k (not in M) as t' * b_j*e_k with deg(t') = index - 1,
-        choosing the smallest j in the canonical border enumeration."""
+        choosing the smallest j in the canonical border enumeration.  Each
+        factorization is computed once and kept."""
+        hit = self._factor.get(mt)
+        if hit is None:
+            hit = self._factor[mt] = self._scan_factor(mt)
+        return hit
+
+    def _scan_factor(self, mt):
         t, k = mt
         self._check_component(k)
         if mt in self.module_pos:

@@ -114,12 +114,6 @@ class TermOrder:
         return isinstance(other, TermOrder) and self.name == other.name
 
 
-def compare(order, ms, mt):
-    """Three-way sigma-Pos comparison of module terms (-1, 0 or 1)."""
-    a, b = order.mod_key(ms), order.mod_key(mt)
-    return (a > b) - (a < b)
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -345,10 +339,12 @@ class Vector:
         )
 
     def mul_poly(self, p):
-        out = Vector(self.nvars, self.rank)
+        out = {}
         for t, c in p.coeffs.items():
-            out = out + self.mul_term(t, c)
-        return out
+            for (s, k), v in self.coeffs.items():
+                mt = (term_mul(t, s), k)
+                out[mt] = out.get(mt, 0) + c * v
+        return Vector(self.nvars, self.rank, out)
 
     def __rmul__(self, other):
         if isinstance(other, Poly):

@@ -1,5 +1,6 @@
 """Border division, normal remainders/forms, and prebasis reconstruction."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,12 +13,17 @@ from modborder import (
     PreconditionError,
     Vector,
     divide,
+    gb_normal_form,
+    groebner_basis,
+    naive_border_basis,
     normal_form,
     normal_remainder,
     reconstruct_prebasis,
     remainder_vector,
     rewrite_step,
 )
+
+from modborder.ring import term_deg, terms_up_to_degree
 
 from conftest import PREBASIS7, pol, vec
 
@@ -127,6 +133,53 @@ def test_division_respects_index_drop(prebasis7):
     om = prebasis7.om
     nr = normal_remainder(prebasis7, vec("x^2*y^2*e1 + x^4*e2 - e1"))
     assert all(mt in om.module_pos for mt in nr.support())
+
+
+def _known_codim_gens(rng, exps):
+    """Generators of a module of codimension sum_k prod_i a_ki: component k
+    gets x_i^a_ki plus random lower-degree terms (the pure-power leading
+    forms make them a Groebner basis), then e2 += c*e1 mixes the components,
+    an automorphism of P^r."""
+    nvars, rank = len(exps[0]), len(exps)
+    c = rng.choice([-2, -1, 1, 2])
+    gens = []
+    for k, a in enumerate(exps, start=1):
+        for i in range(nvars):
+            lead = tuple(a[i] if j == i else 0 for j in range(nvars))
+            coeffs = {(lead, k): Fraction(1)}
+            for t in terms_up_to_degree(nvars, a[i] - 1):
+                coeffs[(t, k)] = Fraction(rng.randint(-3, 3))
+            if k == 2:
+                coeffs.update({(t, 1): c * x for (t, _), x in coeffs.items()})
+            gens.append(Vector(nvars, rank, coeffs))
+    return gens, sum(math.prod(a) for a in exps)
+
+
+@pytest.mark.parametrize(
+    "exps,seed", [([(2, 2), (3, 1)], 5), ([(2, 1, 2)], 6), ([(1, 3), (2, 2)], 7)]
+)
+def test_division_on_known_codimension_basis(order, exps, seed):
+    rng = random.Random(seed)
+    gens, mu = _known_codim_gens(rng, exps)
+    om, g = naive_border_basis(gens, order)
+    assert om.mu == mu
+    gb = groebner_basis(gens, order)
+    top = max(term_deg(t) for t, _ in om.border_terms) + 2
+    pool = terms_up_to_degree(om.nvars, top)
+    for _ in range(15):
+        coeffs = {
+            (rng.choice(pool), rng.randint(1, om.rank)):
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 6))
+        }
+        v = Vector(om.nvars, om.rank, coeffs)
+        res = divide(g, v, choose=rng.choice)
+        nr = remainder_vector(g, res.remainder_coords)
+        assert nr == gb_normal_form(gb, v, order)
+        acc = nr
+        for q, gj in zip(res.quotients, g.vectors()):
+            acc = acc + gj.mul_poly(q)
+        assert acc == v
 
 
 def test_division_wrong_module_rejected(prebasis7):

@@ -1,9 +1,12 @@
 """Order ideals, order modules, borders, the M-index, and corners."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modborder import OrderIdeal, OrderModule, PreconditionError, TermOrder
 from modborder.ordermodule import validate_order_module
+from modborder.ring import term_deg, term_divides, term_quot, terms_up_to_degree
 
 from conftest import vec
 
@@ -165,6 +168,86 @@ def test_factor_prefers_smallest_border_position(m):
 def test_factor_rejects_module_terms(m):
     with pytest.raises(PreconditionError):
         m.factor_through_border((X, 1))
+
+
+# ---------------------------------------------------------------------------
+# the kept first border, index and factorization against their definitions
+
+
+def _divisor_closure(terms):
+    out = set()
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if t not in out:
+            out.add(t)
+            stack.extend(
+                tuple(f - (j == i) for j, f in enumerate(t))
+                for i, e in enumerate(t)
+                if e
+            )
+    return out
+
+
+@st.composite
+def order_modules(draw):
+    """(nvars, term sets): random divisor-closed ideals, n <= 3, rank <= 2."""
+    n = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 2))
+    term = st.tuples(*[st.integers(0, 3)] * n)
+    return n, [
+        _divisor_closure(draw(st.lists(term, max_size=3))) for _ in range(rank)
+    ]
+
+
+def _brute_factor(om, mt):
+    """The border term of mt's component dividing t with the smallest
+    cofactor degree, first in the canonical enumeration."""
+    t, k = mt
+    best = None
+    for b, kk in om.border_terms:
+        if kk == k and term_divides(b, t):
+            gap = term_deg(t) - term_deg(b)
+            if best is None or gap < best[0]:
+                best = (gap, term_quot(t, b), (b, kk))
+    return best[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(order_modules())
+def test_kept_index_and_factor_match_definitions(data):
+    n, ideals = data
+    om = OrderModule([OrderIdeal(n, ts) for ts in ideals],
+                     TermOrder("degrevlex"))
+    for k, ts in enumerate(ideals, start=1):
+        # a fresh ideal computes each border by the closed formula
+        ref = OrderIdeal(n, ts)
+        top = max((term_deg(t) for t in ts), default=0) + 4
+        universe = terms_up_to_degree(n, top)
+        first = [om.index((t, k)) for t in universe]
+        assert [om.index((t, k)) for t in universe] == first
+        by_index = {}
+        for t, i in zip(universe, first):
+            by_index.setdefault(i, set()).add(t)
+        assert by_index.get(0, set()) == ts
+        for i in range(1, 5):
+            assert by_index.get(i, set()) == ref.border(i)
+        for t in universe:
+            if t in ts:
+                continue
+            got = om.factor_through_border((t, k))
+            assert got == _brute_factor(om, (t, k))
+            assert om.factor_through_border((t, k)) == got
+    one = (0,) * n
+    for _ in range(2):
+        for k in (0, len(ideals) + 1):
+            with pytest.raises(PreconditionError, match="out of range"):
+                om.index((one, k))
+            with pytest.raises(PreconditionError, match="out of range"):
+                om.factor_through_border((one, k))
+        if om.module_terms:
+            with pytest.raises(PreconditionError, match="in the order module"):
+                om.factor_through_border(om.module_terms[0])
 
 
 # ---------------------------------------------------------------------------
