@@ -35,7 +35,7 @@ from .groebner import (
     naive_border_basis,
     syzygies,
 )
-from .linalg import RatMatrix, compute_order_module, degree_universe, span_basis
+from .linalg import RatMatrix, degree_universe, span_basis
 from .ordermodule import OrderIdeal, OrderModule, validate_order_module
 from .quotient import (
     QuotPrebasis,
@@ -79,7 +79,6 @@ __all__ = [
     "check_quotient_basis",
     "check_subideal_basis",
     "commuting_check",
-    "compute_order_module",
     "degree_universe",
     "divide",
     "gb_normal_form",

@@ -4,14 +4,8 @@ from __future__ import annotations
 
 from .division import Prebasis
 from .errors import PreconditionError
-from .linalg import (
-    _order_module_data,
-    _row_to_vector,
-    degree_universe,
-    intersect_with_coordinate_space,
-    span_basis,
-)
-from .ordermodule import OrderModule
+from .linalg import degree_universe, intersect_with_coordinate_space, span_basis
+from .ordermodule import OrderIdeal, OrderModule
 from .ring import term_deg
 
 
@@ -20,10 +14,12 @@ def module_border_basis(gens, order, rank=None, max_degree=32):
 
     Seeds V with the K-span of the generators, stabilizes V under
     multiplication by the variables intersected with the span of all module
-    terms of degree <= d, reads M off the pivot-free columns of the
-    stabilized reduced echelon form, and grows d until the border fits inside
-    the universe; the basis vectors are then the echelon rows pivoted at the
-    border terms.
+    terms of degree <= d, reads M off the universe terms that are not pivots
+    of the stabilized reduced echelon form, and grows d until the border fits
+    inside the universe; the basis vectors are then the echelon rows pivoted
+    at the border terms.  Elimination runs degree first (see
+    `degree_universe`), so under lex M is the complement of the leading
+    terms under lex refined by degree.
 
     U must have finite K-codimension in P^r; the degree cap guards against
     inputs where it does not.
@@ -74,19 +70,24 @@ def module_border_basis(gens, order, rank=None, max_degree=32):
             basis = grown
             if stable:
                 break
-        om, red, pivots, universe = _order_module_data(d, basis, order)
+        # a row's pivot is its largest term: its first one in the universe
+        pos = {mt: c for c, mt in enumerate(universe)}
+        rows = {min(v.support(), key=pos.__getitem__): v for v in basis}
+        ideals = []
+        for k in range(1, rank + 1):
+            terms = [t for t, kk in universe if kk == k and (t, kk) not in rows]
+            try:
+                ideals.append(OrderIdeal(nvars, terms))
+            except PreconditionError as e:
+                raise PreconditionError(
+                    f"stability precondition violated in component {k}: {e}"
+                ) from e
+        om = OrderModule(ideals, order, nvars=nvars)
         border_deg = max(
             (term_deg(b) for b, _ in om.border_terms), default=0
         )
         if border_deg <= d:
-            pos = {mt: c for c, mt in enumerate(universe)}
-            pivot_row = {c: h for h, c in enumerate(pivots)}
-            vectors = [
-                _row_to_vector(
-                    red.data[pivot_row[pos[bmt]]], universe, nvars, rank
-                )
-                for bmt in om.border_terms
-            ]
+            vectors = [rows[bmt] for bmt in om.border_terms]
             return om, Prebasis.from_vectors(om, vectors)
         d += 1
         if d > max_degree:

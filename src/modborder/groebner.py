@@ -36,26 +36,35 @@ def _monic(v, order):
 
 def gb_normal_form(gb, v, order):
     """Full normal form of v against gb: no support term of the result is
-    divisible by a leading term of gb."""
+    divisible by a leading term of gb.
+
+    Reduces the sigma-Pos largest term first, by the first element of gb
+    whose leading term divides it, rewriting one coefficient dict in place.
+    """
     if not gb or v.is_zero():
         return v
-    lead = [(g.leading_modterm(order), g) for g in gb]
+    lead = [g.leading_modterm(order) + (g.coeffs,) for g in gb]
+    mod_key = order.mod_key
     out = {}
-    w = v
-    while not w.is_zero():
-        mt, c = w.leading_modterm(order)
-        t, k = mt
-        hit = None
-        for (lmt, lc), g in lead:
+    w = dict(v.coeffs)
+    while w:
+        mt = max(w, key=mod_key)
+        for lmt, lc, gcoeffs in lead:
             if modterm_divides(lmt, mt):
-                hit = (g, term_quot(t, lmt[0]), c / lc)
+                tq = term_quot(mt[0], lmt[0])
+                f = w[mt] / lc
+                # w -= f * tq * g; f and every coefficient of g are nonzero,
+                # so a sum that cancels had its key in w
+                for (s, k), a in gcoeffs.items():
+                    key = (term_mul(tq, s), k)
+                    r = w.get(key, 0) - f * a
+                    if r:
+                        w[key] = r
+                    else:
+                        del w[key]
                 break
-        if hit is None:
-            out[mt] = c
-            w = w - Vector.monomial(v.nvars, v.rank, t, k, c)
         else:
-            g, tq, f = hit
-            w = w - g.mul_term(tq, f)
+            out[mt] = w.pop(mt)
     return Vector(v.nvars, v.rank, out)
 
 

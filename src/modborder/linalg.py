@@ -1,11 +1,11 @@
-"""Dense exact-rational matrices and the linear algebra behind the main algorithm."""
+"""Dense exact-rational matrices for the multiplication maps, and the sparse
+elimination behind the main algorithm."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .ordermodule import OrderIdeal, OrderModule
 from .ring import Vector, term_deg, terms_up_to_degree
 
 
@@ -53,34 +53,6 @@ class RatMatrix:
                             orow[j] += a * brow[j]
         return out
 
-    def rref(self):
-        """Return (reduced row echelon form, ascending pivot column list)."""
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = Fraction(1) / m[r][c]
-            if inv != 1:
-                m[r] = [x * inv for x in m[r]]
-            prow = m[r]
-            for i in range(self.rows):
-                f = m[i][c]
-                if i != r and f:
-                    m[i] = [a - f * b for a, b in zip(m[i], prow)]
-            pivots.append(c)
-            r += 1
-        return RatMatrix(self.rows, self.cols, m), pivots
-
     def __eq__(self, other):
         return (
             isinstance(other, RatMatrix)
@@ -93,131 +65,97 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
-def _coordinate_rows(vectors, universe):
-    pos = {mt: c for c, mt in enumerate(universe)}
-    rows = []
-    for v in vectors:
-        row = [Fraction(0)] * len(universe)
-        for mt, cf in v.coeffs.items():
-            if mt not in pos:
-                t, k = mt
-                raise PreconditionError(
-                    f"vector term (exponents {t}, component {k}) lies outside "
-                    "the coordinate universe"
-                )
-            row[pos[mt]] = cf
-        rows.append(row)
-    return rows
+def _degree_key(order):
+    """Sort key for module terms: degree first, then the sigma-Pos key.
+
+    The main algorithm works on degree-truncated universes, which needs a
+    degree-compatible elimination order; for degrevlex and deglex this is
+    the sigma-Pos order itself, for lex its refinement by degree.
+    """
+    key = order.key
+    return lambda mt: (term_deg(mt[0]), key(mt[0]), -mt[1])
 
 
-def _row_to_vector(row, universe, nvars, rank):
-    return Vector(
-        nvars, rank, {universe[c]: x for c, x in enumerate(row) if x}
-    )
+def _echelon(rows, key):
+    """Gauss-Jordan elimination of the coefficient dicts `rows`.
+
+    Returns the reduced echelon basis of their K-span as a dict from pivot
+    to row, largest pivot first: each row is monic at its `key`-largest
+    term, its pivot, and no other row contains that pivot.
+    """
+    basis = {}
+    for coeffs in rows:
+        r = dict(coeffs)
+        # the basis rows hold no pivot but their own, so subtracting one
+        # leaves the coefficients of the other pivots unchanged
+        for p in [mt for mt in r if mt in basis]:
+            _axpy(r, -r[p], basis[p])
+        if not r:
+            continue
+        piv = max(r, key=key)
+        inv = 1 / r[piv]
+        if inv != 1:
+            r = {mt: c * inv for mt, c in r.items()}
+        for row in basis.values():
+            c = row.get(piv)
+            if c:
+                _axpy(row, -c, r)
+        basis[piv] = r
+    return {p: basis[p] for p in sorted(basis, key=key, reverse=True)}
+
+
+def _axpy(r, a, row):
+    """r += a * row, in place, dropping the terms that cancel."""
+    for mt, c in row.items():
+        s = r.get(mt, 0) + a * c
+        if s:
+            r[mt] = s
+        else:
+            r.pop(mt, None)
 
 
 def span_basis(vectors, universe):
-    """RREF basis of the K-span of `vectors`, in coordinates over `universe`."""
+    """Reduced echelon basis of the K-span of `vectors`, with the columns
+    ordered as `universe` (largest first)."""
     vectors = list(vectors)
     if not vectors:
         return []
     nvars, rank = vectors[0].nvars, vectors[0].rank
-    mat = RatMatrix.from_rows(_coordinate_rows(vectors, universe), len(universe))
-    red, pivots = mat.rref()
-    return [
-        _row_to_vector(red.data[i], universe, nvars, rank)
-        for i in range(len(pivots))
-    ]
+    pos = {mt: -c for c, mt in enumerate(universe)}
+    for v in vectors:
+        for t, k in v.support():
+            if (t, k) not in pos:
+                raise PreconditionError(
+                    f"vector term (exponents {t}, component {k}) lies outside "
+                    "the coordinate universe"
+                )
+    rows = _echelon((v.coeffs for v in vectors), pos.__getitem__)
+    return [Vector(nvars, rank, r) for r in rows.values()]
 
 
 def intersect_with_coordinate_space(vectors, keep, order):
     """Basis of span(vectors) ∩ span_K(keep).
 
-    Coordinates are ordered with the non-keep terms first, so after row
-    reduction the rows whose pivot falls inside the keep block are supported
-    on keep only and span exactly the intersection.
+    Every term outside `keep` is eliminated before every term inside it, so
+    the rows of the reduced echelon form whose pivot lies in `keep` are
+    supported on `keep` only and span exactly the intersection.
     """
-    vectors = [v for v in vectors if not v.is_zero()]
+    vectors = list(vectors)
     if not vectors:
         return []
     nvars, rank = vectors[0].nvars, vectors[0].rank
-    seen = set()
-    for v in vectors:
-        seen.update(v.support())
-    outside = sorted(
-        (mt for mt in seen if mt not in keep), key=order.mod_key, reverse=True
+    degree_key = _degree_key(order)
+    rows = _echelon(
+        (v.coeffs for v in vectors),
+        lambda mt: (mt not in keep, degree_key(mt)),
     )
-    inside = sorted(
-        (mt for mt in seen if mt in keep), key=order.mod_key, reverse=True
-    )
-    universe = outside + inside
-    mat = RatMatrix.from_rows(_coordinate_rows(vectors, universe), len(universe))
-    red, pivots = mat.rref()
-    cut = len(outside)
-    return [
-        _row_to_vector(red.data[i], universe, nvars, rank)
-        for i, c in enumerate(pivots)
-        if c >= cut
-    ]
+    return [Vector(nvars, rank, r) for p, r in rows.items() if p in keep]
 
 
 def degree_universe(nvars, rank, d, order):
-    """All module terms of degree <= d, sorted sigma-Pos descending."""
+    """All module terms of degree <= d, sorted degree first, then
+    sigma-Pos, descending."""
     terms = terms_up_to_degree(nvars, d)
     universe = [(t, k) for k in range(1, rank + 1) for t in terms]
-    universe.sort(key=order.mod_key, reverse=True)
+    universe.sort(key=_degree_key(order), reverse=True)
     return universe
-
-
-def _check_gens(d, gens):
-    if not gens:
-        raise PreconditionError("no generators given")
-    nvars, rank = gens[0].nvars, gens[0].rank
-    for v in gens:
-        if v.is_zero():
-            raise PreconditionError("zero generator")
-        if v.nvars != nvars or v.rank != rank:
-            raise PreconditionError("generators live in different modules")
-        if v.degree() > d:
-            raise PreconditionError(
-                f"generator of degree {v.degree()} exceeds the universe "
-                f"degree {d}"
-            )
-    return nvars, rank
-
-
-def _order_module_data(d, gens, order):
-    """RREF of the generators over the full degree-d universe, and the order
-    module read off its pivot-free columns."""
-    nvars, rank = _check_gens(d, gens)
-    universe = degree_universe(nvars, rank, d, order)
-    mat = RatMatrix.from_rows(_coordinate_rows(gens, universe), len(universe))
-    red, pivots = mat.rref()
-    pivot_set = set(pivots)
-    ideals = []
-    for k in range(1, rank + 1):
-        terms = [
-            universe[c][0]
-            for c in range(len(universe))
-            if c not in pivot_set and universe[c][1] == k
-        ]
-        try:
-            ideals.append(OrderIdeal(nvars, terms))
-        except PreconditionError as e:
-            raise PreconditionError(
-                f"stability precondition violated in component {k}: {e}"
-            ) from e
-    om = OrderModule(ideals, order, nvars=nvars)
-    return om, red, pivots, universe
-
-
-def compute_order_module(d, gens, order):
-    """The order module whose residues form a basis of <L>_K / span(gens),
-    where L is the full module-term universe of degree <= d.
-
-    The span must already be stable under multiplication intersected with
-    <L>_K (the caller guarantees this); a violated precondition surfaces as a
-    non-divisor-closed result, which is rejected with a witness.
-    """
-    om, _, _, _ = _order_module_data(d, gens, order)
-    return om

@@ -42,6 +42,31 @@ def _class_of_term(ctx, om, mt):
     return ctx.epsilon(Vector.monomial(om.nvars, om.rank, t, k))
 
 
+def _class_key(cls):
+    """A hashable key of a canonical residue-class representative."""
+    return tuple(sorted(cls.coeffs.items()))
+
+
+def _module_classes(ctx, om):
+    """The residue classes of the terms of M, in canonical order; two terms
+    in one class mean M does not characterize an order quotient module."""
+    classes = []
+    seen = {}
+    for mt in om.module_terms:
+        cls = _class_of_term(ctx, om, mt)
+        key = _class_key(cls)
+        if key in seen:
+            other = seen[key]
+            raise PreconditionError(
+                "no characterizing order module: representatives "
+                f"{_term_str(other[0])}*e{other[1]} and "
+                f"{_term_str(mt[0])}*e{mt[1]} fall in the same residue class"
+            )
+        seen[key] = mt
+        classes.append(cls)
+    return classes
+
+
 class QuotPrebasis:
     """A prebasis (M, G) in P^r together with its residue classes mod S.
 
@@ -62,21 +87,7 @@ class QuotPrebasis:
         self.ctx = ctx
         self.underlying = underlying
         om = underlying.om
-        self.module_classes = []
-        seen = {}
-        for mt in om.module_terms:
-            cls = _class_of_term(ctx, om, mt)
-            key = tuple(sorted(cls.coeffs.items()))
-            if key in seen:
-                other = seen[key]
-                raise PreconditionError(
-                    "no characterizing order module: representatives "
-                    f"{_term_str(other[0])}*e{other[1]} and "
-                    f"{_term_str(mt[0])}*e{mt[1]} fall in the same residue "
-                    "class"
-                )
-            seen[key] = mt
-            self.module_classes.append(cls)
+        self.module_classes = _module_classes(ctx, om)
         self.border_classes = [
             _class_of_term(ctx, om, mt) for mt in om.border_terms
         ]
@@ -129,34 +140,19 @@ def build_characterizing_prebasis(module_reps, border_reps, coeffs, ctx, order):
     for k in range(1, rank + 1):
         ideals.append(OrderIdeal(nvars, [t for t, kk in module_reps if kk == k]))
     om = OrderModule(ideals, order, nvars=nvars)
-    seen = {}
-    for mt in om.module_terms:
-        cls = _class_of_term(ctx, om, mt)
-        key = tuple(sorted(cls.coeffs.items()))
-        if key in seen:
-            other = seen[key]
-            raise PreconditionError(
-                "no characterizing order module: representatives "
-                f"{_term_str(other[0])}*e{other[1]} and "
-                f"{_term_str(mt[0])}*e{mt[1]} fall in the same residue class"
-            )
-        seen[key] = mt
-    rep_classes = []
+    _module_classes(ctx, om)
     rep_keys = {}
     for idx, mt in enumerate(border_reps):
-        cls = _class_of_term(ctx, om, mt)
-        key = tuple(sorted(cls.coeffs.items()))
+        key = _class_key(_class_of_term(ctx, om, mt))
         if key in rep_keys:
             raise PreconditionError(
                 "border representatives fall in the same residue class"
             )
         rep_keys[key] = idx
-        rep_classes.append(cls)
     columns = []
     hit = set()
     for bmt in om.border_terms:
-        cls = _class_of_term(ctx, om, bmt)
-        key = tuple(sorted(cls.coeffs.items()))
+        key = _class_key(_class_of_term(ctx, om, bmt))
         if key not in rep_keys:
             raise PreconditionError(
                 f"border term {_term_str(bmt[0])}*e{bmt[1]} is not in any "

@@ -4,13 +4,16 @@ import pytest
 
 from modborder import (
     PreconditionError,
+    TermOrder,
     Vector,
+    gb_normal_form,
     groebner_basis,
     is_border_basis,
     module_border_basis,
 )
+from modborder.textio import parse_vector
 
-from conftest import vec
+from conftest import VARS, vec
 
 
 def test_golden(order, mbba_gens, basis4):
@@ -107,3 +110,22 @@ def test_mixed_component_generators(order):
     from modborder import naive_border_basis
 
     assert naive_border_basis(gens, order) == (om, g)
+
+
+def test_lex_eliminates_degree_first():
+    # eliminating in plain lex order over a degree-truncated universe reads a
+    # non-divisor-closed complement off this finite-codimension ideal
+    lex = TermOrder("lex")
+    gens = [
+        parse_vector(s, VARS, 1)
+        for s in (
+            "x^2*y^2*e1 - 3*x^3*y*e1 + x^2*y*e1 - x^2*e1",
+            "x^3*y^2*e1 + x^3*e1 + 3*y^2*e1",
+        )
+    ]
+    om, g = module_border_basis(gens, lex)
+    assert om.mu == 12
+    assert is_border_basis(g) == (True, None)
+    gb = groebner_basis(gens, lex)
+    for v in g.vectors():
+        assert gb_normal_form(gb, v, lex).is_zero()

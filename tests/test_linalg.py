@@ -1,21 +1,17 @@
-"""Exact rational linear algebra and the order module computation."""
-
-from fractions import Fraction
+"""Exact rational matrices and sparse echelon spans."""
 
 import pytest
 
 from modborder import PreconditionError, TermOrder, Vector
 from modborder.linalg import (
     RatMatrix,
-    compute_order_module,
     degree_universe,
     intersect_with_coordinate_space,
     span_basis,
 )
+from modborder.textio import parse_vector
 
-from conftest import vec
-
-F = Fraction
+from conftest import VARS, vec
 
 
 @pytest.fixture(scope="module")
@@ -35,45 +31,6 @@ def test_identity_and_mul():
     b = RatMatrix.from_rows([[0, 1], [1, 0]])
     assert a.mul(b) == RatMatrix.from_rows([[2, 1], [4, 3]])
     assert a.mul(b) != b.mul(a)
-
-
-def test_rref_golden():
-    # the degree-1 coordinate matrix of the five running-example generators
-    # over the universe (x e1, x e2, y e1, y e2, e1, e2)
-    v = RatMatrix.from_rows(
-        [
-            [0, 3, 0, 0, -2, -1],
-            [3, 0, 0, 0, 4, 2],
-            [0, 0, 0, 1, 0, -1],
-            [0, 0, 1, 0, -1, 0],
-            [1, -1, 1, 1, 1, 0],
-        ]
-    )
-    red, pivots = v.rref()
-    assert pivots == [0, 1, 2, 3]
-    assert red == RatMatrix.from_rows(
-        [
-            [1, 0, 0, 0, F(4, 3), F(2, 3)],
-            [0, 1, 0, 0, F(-2, 3), F(-1, 3)],
-            [0, 0, 1, 0, -1, 0],
-            [0, 0, 0, 1, 0, -1],
-            [0, 0, 0, 0, 0, 0],
-        ]
-    )
-
-
-def test_rref_is_idempotent():
-    m = RatMatrix.from_rows([[2, 4, 6], [1, 2, 4], [0, 0, 1]])
-    red, pivots = m.rref()
-    red2, pivots2 = red.rref()
-    assert red == red2
-    assert pivots == pivots2 == [0, 2]
-
-
-def test_rref_zero_matrix():
-    red, pivots = RatMatrix(2, 3).rref()
-    assert pivots == []
-    assert red == RatMatrix(2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +55,34 @@ def test_span_basis(order):
     basis = span_basis(vs, u)
     assert basis == [vec("x*e1"), vec("e2")]
     assert span_basis([], u) == []
+
+
+def test_span_basis_golden(order, mbba_gens):
+    # the five running-example generators over the degree-1 universe
+    # (x e1, x e2, y e1, y e2, e1, e2): rank 4, pivots x e1, x e2, y e1, y e2
+    u = degree_universe(2, 2, 1, order)
+    assert span_basis(mbba_gens, u) == [
+        vec("x*e1 + 4/3*e1 + 2/3*e2"),
+        vec("x*e2 - 2/3*e1 - 1/3*e2"),
+        vec("y*e1 - e1"),
+        vec("y*e2 - e2"),
+    ]
+
+
+def test_span_basis_is_idempotent(order):
+    u = degree_universe(2, 1, 1, order)
+    vs = [
+        parse_vector(s, VARS, 1)
+        for s in ("2*x*e1 + 4*y*e1 + 6*e1", "x*e1 + 2*y*e1 + 4*e1", "e1")
+    ]
+    basis = span_basis(vs, u)
+    assert basis == [parse_vector("x*e1 + 2*y*e1", VARS, 1), Vector.unit(2, 1, 1)]
+    assert span_basis(basis, u) == basis
+
+
+def test_span_basis_of_zero_vectors(order):
+    u = degree_universe(2, 2, 1, order)
+    assert span_basis([Vector.zero(2, 2), Vector.zero(2, 2)], u) == []
 
 
 def test_span_basis_rejects_outside_terms(order):
@@ -131,30 +116,3 @@ def test_intersection_is_contained_in_both(order):
     u = degree_universe(2, 2, 1, order)
     full = span_basis(vs + got, u)
     assert full == span_basis(vs, u)
-
-
-# ---------------------------------------------------------------------------
-# order module computation
-
-
-def test_compute_order_module_golden(order, mbba_gens):
-    om = compute_order_module(1, mbba_gens, order)
-    assert om.module_terms == [((0, 0), 1), ((0, 0), 2)]
-
-
-def test_compute_order_module_stability_violation(order):
-    # span{e1} is not stable intersected with the degree-1 universe: the
-    # complement contains x e1 and y e1 but not e1
-    with pytest.raises(
-        PreconditionError, match="stability precondition violated in component 1"
-    ):
-        compute_order_module(1, [vec("e1")], order)
-
-
-def test_compute_order_module_degree_check(order):
-    with pytest.raises(PreconditionError, match="exceeds the universe"):
-        compute_order_module(1, [vec("x^2*e1")], order)
-    with pytest.raises(PreconditionError, match="no generators"):
-        compute_order_module(1, [], order)
-    with pytest.raises(PreconditionError, match="zero generator"):
-        compute_order_module(1, [Vector.zero(2, 2)], order)
