@@ -4,22 +4,26 @@ from __future__ import annotations
 
 from .division import Prebasis
 from .errors import PreconditionError
-from .linalg import degree_universe, intersect_with_coordinate_space, span_basis
+from .linalg import _degree_key, _reduce_into
 from .ordermodule import OrderIdeal, OrderModule
-from .ring import term_deg
+from .ring import Vector, term_deg, term_mul, terms_up_to_degree, unit_terms
 
 
 def module_border_basis(gens, order, rank=None, max_degree=32):
     """Compute (M, G): the order module and border basis of U = <gens>.
 
-    Seeds V with the K-span of the generators, stabilizes V under
-    multiplication by the variables intersected with the span of all module
-    terms of degree <= d, reads M off the universe terms that are not pivots
-    of the stabilized reduced echelon form, and grows d until the border fits
-    inside the universe; the basis vectors are then the echelon rows pivoted
-    at the border terms.  Elimination runs degree first (see
-    `degree_universe`), so under lex M is the complement of the leading
-    terms under lex refined by degree.
+    Keeps one reduced echelon form of the span V of the generators and the
+    products made so far, with the terms ordered degree first (see
+    `degree_universe`), so its rows pivoted at degree <= d are the reduced
+    echelon basis of V ∩ span{module terms of degree <= d}.  Each round
+    multiplies by the variables only the rows of degree <= d that were not
+    multiplied before, and inserts the products into the same echelon form.
+    When no such row is left, M is read off the terms of degree <= d that
+    are not pivots.  If the border of M fits inside degree d, the basis
+    vectors are the rows pivoted at the border terms; otherwise d grows and
+    the echelon form is carried on, so no row is multiplied twice.  Under
+    lex, M is the complement of the leading terms under lex refined by
+    degree.
 
     U must have finite K-codimension in P^r; the degree cap guards against
     inputs where it does not.
@@ -52,30 +56,33 @@ def module_border_basis(gens, order, rank=None, max_degree=32):
         raise PreconditionError(
             f"codimension possibly infinite (cap {max_degree} reached)"
         )
-    units = [
-        tuple(1 if i == s else 0 for i in range(nvars)) for s in range(nvars)
-    ]
-    basis = gens
+    units = unit_terms(nvars)
+    key = _degree_key(order)
+    # pivot -> row; a row's terms have at most its pivot's degree
+    echelon = {}
+    _reduce_into(echelon, (v.coeffs for v in gens), key)
+    multiplied = set()
     while True:
-        universe = degree_universe(nvars, rank, d, order)
-        keep = set(universe)
-        basis = span_basis(basis, universe)
         while True:
-            prods = list(basis)
-            for v in basis:
-                for xs in units:
-                    prods.append(v.mul_term(xs))
-            grown = intersect_with_coordinate_space(prods, keep, order)
-            stable = len(grown) == len(basis)
-            basis = grown
-            if stable:
+            new = [
+                p for p in echelon
+                if p not in multiplied and term_deg(p[0]) <= d
+            ]
+            if not new:
                 break
-        # a row's pivot is its largest term: its first one in the universe
-        pos = {mt: c for c, mt in enumerate(universe)}
-        rows = {min(v.support(), key=pos.__getitem__): v for v in basis}
+            multiplied.update(new)
+            prods = [
+                {(term_mul(xs, t), k): c for (t, k), c in echelon[p].items()}
+                for p in new
+                for xs in units
+            ]
+            _reduce_into(echelon, prods, key)
         ideals = []
         for k in range(1, rank + 1):
-            terms = [t for t, kk in universe if kk == k and (t, kk) not in rows]
+            terms = [
+                t for t in terms_up_to_degree(nvars, d)
+                if (t, k) not in echelon
+            ]
             try:
                 ideals.append(OrderIdeal(nvars, terms))
             except PreconditionError as e:
@@ -87,7 +94,9 @@ def module_border_basis(gens, order, rank=None, max_degree=32):
             (term_deg(b) for b, _ in om.border_terms), default=0
         )
         if border_deg <= d:
-            vectors = [rows[bmt] for bmt in om.border_terms]
+            vectors = [
+                Vector(nvars, rank, echelon[bmt]) for bmt in om.border_terms
+            ]
             return om, Prebasis.from_vectors(om, vectors)
         d += 1
         if d > max_degree:

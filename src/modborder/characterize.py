@@ -13,7 +13,7 @@ from .division import divide, normal_remainder
 from .errors import PreconditionError
 from .linalg import RatMatrix
 from .ordermodule import OrderModule
-from .ring import Poly, Vector, term_lcm, term_mul, term_quot
+from .ring import Poly, Vector, term_lcm, term_mul, term_quot, unit_terms
 
 
 class MultMatrices:
@@ -37,8 +37,7 @@ def mult_matrices(g):
     om = g.om
     mu = om.mu
     mats = []
-    for s in range(om.nvars):
-        xs = tuple(1 if i == s else 0 for i in range(om.nvars))
+    for xs in unit_terms(om.nvars):
         mat = RatMatrix(mu, mu)
         for l, (t, k) in enumerate(om.module_terms):
             prod = (term_mul(xs, t), k)
@@ -139,7 +138,7 @@ def neighbors(om):
     """All neighbor pairs of the border, in canonical enumeration order."""
     out = []
     n = om.nvars
-    units = [tuple(1 if i == s else 0 for i in range(n)) for s in range(n)]
+    units = unit_terms(n)
     bt = om.border_terms
     for a in range(len(bt)):
         ta, ka = bt[a]

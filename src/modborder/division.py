@@ -6,7 +6,15 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .ordermodule import OrderIdeal, OrderModule
-from .ring import Poly, Vector, term_divides, term_mul, term_quot
+from .ring import (
+    Poly,
+    Vector,
+    term_divides,
+    term_mul,
+    term_pred,
+    term_quot,
+    unit_terms,
+)
 
 
 class Prebasis:
@@ -228,7 +236,7 @@ def _closure(terms):
         out.add(t)
         for i, e in enumerate(t):
             if e > 0:
-                stack.append(tuple(f - 1 if j == i else f for j, f in enumerate(t)))
+                stack.append(term_pred(t, i))
     return out
 
 
@@ -264,16 +272,12 @@ def reconstruct_prebasis(vectors, order):
             "more vectors than border terms are possible for these supports"
         )
 
+    units = unit_terms(nvars)
+
     def interior(cset):
-        out = set()
-        for t in cset:
-            if all(
-                term_mul(t, tuple(1 if j == i else 0 for j in range(nvars)))
-                in cset
-                for i in range(nvars)
-            ):
-                out.add(t)
-        return out
+        return {
+            t for t in cset if all(term_mul(t, xs) in cset for xs in units)
+        }
 
     start = {k: interior(closure[k]) for k in closure}
     found = []

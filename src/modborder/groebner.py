@@ -15,6 +15,7 @@ from .ring import (
     Poly,
     TermOrder,
     Vector,
+    pure_power_bounds,
     term_deg,
     term_divides,
     term_lcm,
@@ -155,19 +156,14 @@ def macaulay_complement(gb, order, bound=32):
         if any(t == term_one(nvars) for t in comp):
             ideals.append(OrderIdeal(nvars, []))
             continue
-        box = []
-        for i in range(nvars):
-            powers = [
-                t[i]
-                for t in comp
-                if t[i] > 0 and all(e == 0 for s, e in enumerate(t) if s != i)
-            ]
-            if not powers:
-                raise PreconditionError(
-                    f"complement is not finite: no pure power of x{i + 1} "
-                    f"among the leading terms of component {k}"
-                )
-            box.append(range(min(powers)))
+        bounds = pure_power_bounds(comp, nvars)
+        if None in bounds:
+            raise PreconditionError(
+                "complement is not finite: no pure power of "
+                f"x{bounds.index(None) + 1} among the leading terms of "
+                f"component {k}"
+            )
+        box = [range(a) for a in bounds]
         terms = [
             t
             for t in itertools.product(*box)

@@ -84,6 +84,18 @@ def _echelon(rows, key):
     term, its pivot, and no other row contains that pivot.
     """
     basis = {}
+    _reduce_into(basis, rows, key)
+    return {p: basis[p] for p in sorted(basis, key=key, reverse=True)}
+
+
+def _reduce_into(basis, rows, key):
+    """Insert the coefficient dicts `rows` into the reduced echelon basis
+    `basis` (pivot -> row, see `_echelon`), in place.
+
+    A pivot, once in `basis`, stays: inserting a row only clears its pivot
+    from the other rows, and each row's pivot is larger than every other
+    term of it.
+    """
     for coeffs in rows:
         r = dict(coeffs)
         # the basis rows hold no pivot but their own, so subtracting one
@@ -101,7 +113,6 @@ def _echelon(rows, key):
             if c:
                 _axpy(row, -c, r)
         basis[piv] = r
-    return {p: basis[p] for p in sorted(basis, key=key, reverse=True)}
 
 
 def _axpy(r, a, row):
@@ -131,25 +142,6 @@ def span_basis(vectors, universe):
                 )
     rows = _echelon((v.coeffs for v in vectors), pos.__getitem__)
     return [Vector(nvars, rank, r) for r in rows.values()]
-
-
-def intersect_with_coordinate_space(vectors, keep, order):
-    """Basis of span(vectors) ∩ span_K(keep).
-
-    Every term outside `keep` is eliminated before every term inside it, so
-    the rows of the reduced echelon form whose pivot lies in `keep` are
-    supported on `keep` only and span exactly the intersection.
-    """
-    vectors = list(vectors)
-    if not vectors:
-        return []
-    nvars, rank = vectors[0].nvars, vectors[0].rank
-    degree_key = _degree_key(order)
-    rows = _echelon(
-        (v.coeffs for v in vectors),
-        lambda mt: (mt not in keep, degree_key(mt)),
-    )
-    return [Vector(nvars, rank, r) for p, r in rows.items() if p in keep]
 
 
 def degree_universe(nvars, rank, d, order):

@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .ring import term_deg, term_divides, term_mul, term_quot, terms_of_degree
+from .ring import (
+    term_deg,
+    term_divides,
+    term_mul,
+    term_pred,
+    term_quot,
+    terms_of_degree,
+)
 
 
 def _term_str(t):
@@ -33,9 +40,7 @@ class OrderIdeal:
         for t in terms:
             for i, e in enumerate(t):
                 if e > 0:
-                    d = tuple(
-                        f - 1 if j == i else f for j, f in enumerate(t)
-                    )
+                    d = term_pred(t, i)
                     if d not in terms:
                         raise PreconditionError(
                             f"not divisor-closed: {_term_str(t)} present but "
@@ -133,10 +138,7 @@ class OrderIdeal:
         out = set()
         for b in self._first_border():
             if all(
-                tuple(f - 1 if j == i else f for j, f in enumerate(b))
-                in self.terms
-                for i, e in enumerate(b)
-                if e > 0
+                term_pred(b, i) in self.terms for i, e in enumerate(b) if e > 0
             ):
                 out.add(b)
         return out

@@ -45,6 +45,29 @@ def term_lcm(s, t):
     return tuple(max(a, b) for a, b in zip(s, t))
 
 
+def unit_terms(nvars):
+    """The variables x1..xn as exponent tuples, in order."""
+    return [tuple(1 if i == s else 0 for i in range(nvars)) for s in range(nvars)]
+
+
+def term_pred(t, i):
+    """Return t / x_{i+1}; the exponent t[i] must be positive."""
+    return t[:i] + (t[i] - 1,) + t[i + 1 :]
+
+
+def pure_power_bounds(terms, nvars):
+    """For each variable x_i, the least a > 0 with x_i^a among `terms`, or
+    None when no pure power of x_i is among them."""
+    out = [None] * nvars
+    for t in terms:
+        hits = [i for i, e in enumerate(t) if e]
+        if len(hits) == 1:
+            i = hits[0]
+            if out[i] is None or t[i] < out[i]:
+                out[i] = t[i]
+    return out
+
+
 def terms_of_degree(nvars, d):
     """All terms of Q[x1..xn] of degree exactly d."""
     if nvars == 0:
@@ -147,8 +170,7 @@ class Poly:
     @classmethod
     def variable(cls, nvars, i):
         """The variable x_{i+1} (i is a 0-based position)."""
-        t = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {t: Fraction(1)})
+        return cls(nvars, {unit_terms(nvars)[i]: Fraction(1)})
 
     def is_zero(self):
         return not self.coeffs

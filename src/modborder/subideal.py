@@ -12,7 +12,7 @@ from .groebner import (
     syzygies,
 )
 from .quotient import QuotPrebasis, QuotientContext, check_quotient_basis, quotient_border_basis
-from .ring import Vector, term_one
+from .ring import Vector, pure_power_bounds, term_one
 
 
 class SubidealContext:
@@ -86,13 +86,7 @@ def _zero_dimensional(hgens, order):
     lts = [t for t, _ in leading_module(gb, order)]
     if any(t == term_one(nvars) for t in lts):
         return True, gb
-    for i in range(nvars):
-        if not any(
-            t[i] > 0 and all(e == 0 for s, e in enumerate(t) if s != i)
-            for t in lts
-        ):
-            return False, gb
-    return True, gb
+    return None not in pure_power_bounds(lts, nvars), gb
 
 
 def subideal_border_basis(hgens, fgens, order, max_degree=32):

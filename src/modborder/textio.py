@@ -45,13 +45,13 @@ def _tokenize(text, line_no=None):
         if ch == "#":
             break
         start = col + 1
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = col
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("num", int(text[col:j]), line_no, start))
             col = j
-        elif ch.isalpha() or ch == "_":
+        elif ch.isascii() and (ch.isalpha() or ch == "_"):
             m = _NAME_RE.match(text, col)
             tokens.append(("name", m.group(0), line_no, start))
             col = m.end()

@@ -1,6 +1,12 @@
 """The main border basis computation (stabilized echelon algorithm)."""
 
+import math
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modborder import (
     PreconditionError,
@@ -10,7 +16,9 @@ from modborder import (
     groebner_basis,
     is_border_basis,
     module_border_basis,
+    naive_border_basis,
 )
+from modborder.ring import term_deg, terms_up_to_degree
 from modborder.textio import parse_vector
 
 from conftest import VARS, vec
@@ -129,3 +137,84 @@ def test_lex_eliminates_degree_first():
     gb = groebner_basis(gens, lex)
     for v in g.vectors():
         assert gb_normal_form(gb, v, lex).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# differential test on modules of known codimension
+
+
+def known_codim_module(exps, mix, seed):
+    """Generators of a module of codimension sum_k prod_i a_ki.
+
+    Component k gets x_i^a_ki plus up to three random terms of lower degree:
+    the leading forms x_i^a_ki have no common zero at infinity, so the ideal
+    has codimension prod_i a_ki (Bezout).  For rank 2 the components are
+    mixed by the unimodular integer matrix [[1, b], [c, 1 + b*c]], an
+    automorphism of P^2 that keeps the codimension.
+    """
+    rng = random.Random(seed)
+    nvars, rank = len(exps[0]), len(exps)
+    b, c = mix
+    matrix = [[1, b], [c, 1 + b * c]] if rank == 2 else [[1]]
+    gens = []
+    for k, a in enumerate(exps):
+        for i in range(nvars):
+            lead = tuple(a[i] if j == i else 0 for j in range(nvars))
+            poly = {lead: Fraction(1)}
+            pool = terms_up_to_degree(nvars, a[i] - 1)
+            for t in rng.sample(pool, min(3, len(pool))):
+                poly[t] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            coeffs = {
+                (t, row + 1): matrix[row][k] * x
+                for row in range(rank)
+                for t, x in poly.items()
+            }
+            gens.append(Vector(nvars, rank, coeffs))
+    return gens, sum(math.prod(a) for a in exps)
+
+
+@st.composite
+def known_codim_inputs(draw):
+    nvars = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 2))
+    top = 3 if nvars < 3 else 2
+    exps = [
+        tuple(draw(st.integers(1, top)) for _ in range(nvars))
+        for _ in range(rank)
+    ]
+    mix = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    return exps, mix, draw(st.integers(0, 2**16))
+
+
+# generators of degree 3 (resp. 2) whose border reaches degree 5 (resp. 4):
+# the echelon form is carried across two degree increments
+CARRIED = [([(3, 3)], (1, -1), 1), ([(2, 2, 2)], (0, 0), 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(known_codim_inputs(), st.sampled_from(["degrevlex", "deglex", "lex"]))
+@example(CARRIED[0], "degrevlex")
+@example(CARRIED[0], "lex")
+@example(CARRIED[1], "deglex")
+@example(([(3, 2), (2, 3)], (1, 2), 4), "degrevlex")
+def test_matches_oracles_on_known_codimension(data, name):
+    exps, mix, seed = data
+    order = TermOrder(name)
+    gens, mu = known_codim_module(exps, mix, seed)
+    om, g = module_border_basis(gens, order)
+    assert om.mu == mu
+    if name != "lex":
+        assert (om, g) == naive_border_basis(gens, order)
+        return
+    assert is_border_basis(g) == (True, None)
+    gb = groebner_basis(gens, order)
+    for v in g.vectors():
+        assert gb_normal_form(gb, v, order).is_zero()
+
+
+def test_carried_examples_start_two_degrees_below_the_border():
+    for exps, mix, seed in CARRIED:
+        gens, _ = known_codim_module(exps, mix, seed)
+        om, _ = module_border_basis(gens, TermOrder("degrevlex"))
+        top = max(term_deg(t) for t, _ in om.border_terms)
+        assert top - max(v.degree() for v in gens) >= 2

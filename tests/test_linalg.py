@@ -1,14 +1,21 @@
 """Exact rational matrices and sparse echelon spans."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modborder import PreconditionError, TermOrder, Vector
 from modborder.linalg import (
     RatMatrix,
+    _degree_key,
+    _echelon,
+    _reduce_into,
     degree_universe,
-    intersect_with_coordinate_space,
     span_basis,
 )
+from modborder.ring import terms_up_to_degree
 from modborder.textio import parse_vector
 
 from conftest import VARS, vec
@@ -91,28 +98,77 @@ def test_span_basis_rejects_outside_terms(order):
         span_basis([vec("x^2*e1")], u)
 
 
-def test_intersect_with_coordinate_space(order):
-    # span{x e1 + e1, x e1 - e2, e1 + e2} meets <e1, e2> in <e1 + e2>
+def low_degree_rows(vectors, d, order):
+    """The rows of the degree-keyed echelon form pivoted at degree <= d."""
+    rows = _echelon((v.coeffs for v in vectors), _degree_key(order))
+    return [Vector(2, 2, r) for p, r in rows.items() if sum(p[0]) <= d]
+
+
+def test_low_degree_echelon_rows_span_the_intersection(order):
+    # span{x e1 + e1, x e1 - e2} meets <e1, e2> in <e1 + e2>
     vs = [vec("x*e1 + e1"), vec("x*e1 - e2")]
-    keep = {((0, 0), 1), ((0, 0), 2)}
-    got = intersect_with_coordinate_space(vs, keep, order)
-    assert got == [vec("e1 + e2")]
+    assert low_degree_rows(vs, 0, order) == [vec("e1 + e2")]
     # vectors already inside the space are returned in reduced form
-    got = intersect_with_coordinate_space(
-        [vec("2*e1"), vec("e1 + e2")], keep, order
-    )
-    assert got == [vec("e1"), vec("e2")]
-    assert intersect_with_coordinate_space([Vector.zero(2, 2)], keep, order) == []
+    assert low_degree_rows([vec("2*e1"), vec("e1 + e2")], 0, order) == [
+        vec("e1"),
+        vec("e2"),
+    ]
+    assert low_degree_rows([Vector.zero(2, 2)], 0, order) == []
 
 
-def test_intersection_is_contained_in_both(order):
+def test_low_degree_echelon_rows_lie_in_both(order):
     vs = [vec("x*e1 + y*e2 + e1"), vec("y*e2 - e2"), vec("x*e1 + e2")]
-    keep = {((0, 0), 1), ((0, 0), 2), ((0, 1), 2)}
-    got = intersect_with_coordinate_space(vs, keep, order)
-    for w in got:
-        assert set(w.support()) <= keep
-    # e1 - e2 = (x e1 + y e2 + e1) - (y e2 - e2) - (x e1 + e2) - e2 ... the
-    # intersection here is spanned by e1 + y e2 - e2's reduction:
+    # (x e1 + y e2 + e1) - (y e2 - e2) - (x e1 + e2) = e1
+    got = low_degree_rows(vs, 0, order)
+    assert got == [vec("e1")]
     u = degree_universe(2, 2, 1, order)
-    full = span_basis(vs + got, u)
-    assert full == span_basis(vs, u)
+    assert span_basis(vs + got, u) == span_basis(vs, u)
+
+
+# ---------------------------------------------------------------------------
+# incremental insertion
+
+_TERMS = [(t, k) for t in terms_up_to_degree(2, 2) for k in (1, 2)]
+
+
+@st.composite
+def row_batches(draw):
+    """Sparse coefficient dicts over the degree-2 terms of Q[x, y]^2, split
+    into batches; later rows are often combinations of earlier ones."""
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            row = {mt: s * a.get(mt, 0) + t * b.get(mt, 0) for mt in {*a, *b}}
+        else:
+            mts = draw(st.lists(st.sampled_from(_TERMS), max_size=5))
+            row = {
+                mt: Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+                for mt in mts
+            }
+        rows.append({mt: c for mt, c in row.items() if c})
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), min_size=1, max_size=3)))
+    bounds = [0, *cuts, len(rows)]
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_batches(), st.sampled_from(["degrevlex", "deglex", "lex"]))
+def test_reduce_into_batches_equals_one_pass(batches, name):
+    order = TermOrder(name)
+    key = _degree_key(order)
+    rows = [r for batch in batches for r in batch]
+    whole = _echelon(rows, key)
+    basis = {}
+    for batch in batches:
+        _reduce_into(basis, batch, key)
+    assert basis == whole
+    assert list(whole) == sorted(whole, key=key, reverse=True)
+    for p, r in whole.items():
+        assert r[p] == 1 and max(r, key=key) == p
+        assert all(q == p or q not in r for q in whole)
+    # the same rows as span_basis over the degree-first universe
+    vectors = [Vector(2, 2, r) for r in rows]
+    u = degree_universe(2, 2, 2, order)
+    assert span_basis(vectors, u) == [Vector(2, 2, r) for r in whole.values()]

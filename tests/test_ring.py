@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 from modborder import Poly, TermOrder, Vector
 from modborder.ring import (
     ORDER_NAMES,
+    pure_power_bounds,
     term_deg,
     term_divides,
     term_lcm,
     term_mul,
     term_one,
+    term_pred,
     term_quot,
     terms_of_degree,
     terms_up_to_degree,
+    unit_terms,
 )
 
 from conftest import pol, vec
@@ -35,6 +38,17 @@ def test_term_helpers():
     assert not term_divides((0, 2), (1, 1))
     assert term_quot((3, 2), (1, 2)) == (2, 0)
     assert term_lcm((2, 1), (1, 3)) == (2, 3)
+    assert unit_terms(3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert unit_terms(0) == []
+    assert term_pred((2, 1, 3), 0) == (1, 1, 3)
+    assert term_pred((2, 1, 3), 2) == (2, 1, 2)
+
+
+def test_pure_power_bounds():
+    # x^3, x^2 and y^4 are pure powers, x*z and the constant are not
+    terms = [(3, 0, 0), (1, 0, 1), (0, 4, 0), (2, 0, 0), (0, 0, 0)]
+    assert pure_power_bounds(terms, 3) == [2, 4, None]
+    assert pure_power_bounds([], 2) == [None, None]
 
 
 @pytest.mark.parametrize("n,d", [(1, 5), (2, 4), (3, 3)])

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BASIS4, MBBA_GENS, PREBASIS7, VARS, pol, problem_text, vec
 from modborder.errors import ParseError
@@ -250,3 +252,56 @@ def test_read_problem_entry_error_reports_line():
 def test_read_problem_polynomial_sections_reject_markers():
     with pytest.raises(ParseError, match="unknown variable 'e1'"):
         read_problem(problem_text("ideal:\nx*e1"))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input either parses or raises ParseError
+
+# pieces of the ring syntax, plus non-ASCII digits and letters, which the
+# tokenizer must reject like any other unexpected character
+_PIECES = [
+    "x", "y", "z", "e1", "e2", "e3", "e0", "0", "1", "2", "12", "3/4", "/",
+    "^", "*", "+", "-", "(", ")", " ", "#", "_", "\u00b2", "\u00e9",
+]
+_ALPHABET = "".join(sorted(set("".join(_PIECES) + "xye0123456789:,[]\t\n")))
+
+fuzz_text = st.one_of(
+    st.text(alphabet=_ALPHABET, max_size=40),
+    st.lists(st.sampled_from(_PIECES), max_size=25).map("".join),
+)
+
+
+def _parses_or_parse_error(parse, text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_text)
+def test_fuzz_parse_vector_and_poly(text):
+    _parses_or_parse_error(lambda s: parse_vector(s, VARS, 2), text)
+    _parses_or_parse_error(lambda s: parse_poly(s, VARS), text)
+
+
+_LINES = st.one_of(
+    fuzz_text,
+    st.sampled_from(
+        ["vectors:", "syzygy:", "ideal:", "subideal:", "rank 2", "order lex",
+         "ring Q[x,y]", "ring Q[]", "ring Q[e1]", "bogus:"]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINES, max_size=8), st.booleans())
+def test_fuzz_read_problem(lines, with_header):
+    body = "\n".join(lines)
+    _parses_or_parse_error(read_problem, problem_text(body) if with_header else body)
+
+
+@pytest.mark.parametrize("text", ["x\u00b2*e1", "\u00e9*e1", "2*e\u00b9"])
+def test_non_ascii_characters_are_parse_errors(text):
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_vector(text, VARS, 2)
