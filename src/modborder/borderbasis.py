@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .division import Prebasis
 from .errors import PreconditionError
-from .linalg import _degree_key, _reduce_into
+from .linalg import _degree_key, _integral, _monic, _reduce_into
 from .ordermodule import OrderIdeal, OrderModule
 from .ring import Vector, term_deg, term_mul, terms_up_to_degree, unit_terms
 
@@ -24,6 +24,12 @@ def module_border_basis(gens, order, rank=None, max_degree=32):
     the echelon form is carried on, so no row is multiplied twice.  Under
     lex, M is the complement of the leading terms under lex refined by
     degree.
+
+    The elimination is fraction-free (see `linalg._reduce_into`): the
+    generators are scaled to integer rows once, on entry, their products by
+    the variables stay integer, and each row is kept primitive with a
+    positive pivot coefficient.  Only the basis vectors are built over Q,
+    each border row divided by its pivot coefficient.
 
     U must have finite K-codimension in P^r; the degree cap guards against
     inputs where it does not.
@@ -58,9 +64,10 @@ def module_border_basis(gens, order, rank=None, max_degree=32):
         )
     units = unit_terms(nvars)
     key = _degree_key(order)
-    # pivot -> row; a row's terms have at most its pivot's degree
+    # pivot -> primitive integer row; a row's terms have at most its
+    # pivot's degree
     echelon = {}
-    _reduce_into(echelon, (v.coeffs for v in gens), key)
+    _reduce_into(echelon, (_integral(v.coeffs) for v in gens), key)
     multiplied = set()
     while True:
         while True:
@@ -95,7 +102,8 @@ def module_border_basis(gens, order, rank=None, max_degree=32):
         )
         if border_deg <= d:
             vectors = [
-                Vector(nvars, rank, echelon[bmt]) for bmt in om.border_terms
+                Vector(nvars, rank, _monic(echelon[bmt], bmt))
+                for bmt in om.border_terms
             ]
             return om, Prebasis.from_vectors(om, vectors)
         d += 1

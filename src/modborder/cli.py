@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import click
@@ -78,8 +79,17 @@ def _poly_obj(p, order):
     return {"terms": [{"coeff": str(p.coeff(t)), "term": list(t)} for t in ts]}
 
 
+def _echo(message, err=False):
+    """Write a line to the current sys.stdout, or sys.stderr if `err`.
+
+    Naming the stream keeps click from caching it: click's stream cache
+    would keep every redirected stdout/stderr of an in-process caller alive.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _emit_json(obj):
-    click.echo(json.dumps(obj, indent=2))
+    _echo(json.dumps(obj, indent=2))
 
 
 @click.group()
@@ -105,9 +115,9 @@ def compute(file, max_degree, fmt):
         )
         return
     inner = ", ".join(format_modterm(mt, pf.varnames) for mt in om.module_terms)
-    click.echo(f"M = {{{inner}}}")
+    _echo(f"M = {{{inner}}}")
     for j, v in enumerate(g.vectors(), start=1):
-        click.echo(f"G{j} = {format_vector(v, pf.varnames, pf.order)}")
+        _echo(f"G{j} = {format_vector(v, pf.varnames, pf.order)}")
 
 
 @cli.command("divide")
@@ -132,8 +142,8 @@ def divide_cmd(file, expr, fmt):
         )
         return
     for j, p in enumerate(res.quotients, start=1):
-        click.echo(f"q{j} = {format_poly(p, pf.varnames, pf.order)}")
-    click.echo(f"NR = {format_vector(nr, pf.varnames, pf.order)}")
+        _echo(f"q{j} = {format_poly(p, pf.varnames, pf.order)}")
+    _echo(f"NR = {format_vector(nr, pf.varnames, pf.order)}")
 
 
 def _random_vector(rng, om):
@@ -201,19 +211,19 @@ def check(file, mode, samples, seed, fmt):
         _emit_json(obj)
         return
     if ok:
-        click.echo("a border basis")
+        _echo("a border basis")
     else:
         i, j, nr = witness
-        click.echo(
+        _echo(
             f"NOT a border basis; witness SV(G{i + 1},G{j + 1}), "
             f"NR = {format_vector(nr, pf.varnames, pf.order)}"
         )
     if sample_report is not None:
         sok, count, reason = sample_report
         if sok:
-            click.echo(f"samples: {count} ok (seed {seed})")
+            _echo(f"samples: {count} ok (seed {seed})")
         else:
-            click.echo(f"samples: FAILED at sample {count}: {reason}")
+            _echo(f"samples: FAILED at sample {count}: {reason}")
 
 
 @cli.command()
@@ -237,14 +247,14 @@ def multmat(file, fmt):
         )
         return
     for s, m in enumerate(mm.mats, start=1):
-        click.echo(f"X{s} =")
+        _echo(f"X{s} =")
         for row in m.data:
-            click.echo("  [" + ", ".join(str(x) for x in row) + "]")
+            _echo("  [" + ", ".join(str(x) for x in row) + "]")
     if ok:
-        click.echo("commuting: yes")
+        _echo("commuting: yes")
     else:
         s, u = pair
-        click.echo(f"commuting: no (X{s + 1}*X{u + 1} != X{u + 1}*X{s + 1})")
+        _echo(f"commuting: no (X{s + 1}*X{u + 1} != X{u + 1}*X{s + 1})")
 
 
 @cli.command()
@@ -259,7 +269,7 @@ def groebner(file, fmt):
         _emit_json({"basis": [_vec_obj(v, pf.order) for v in gb]})
         return
     for j, v in enumerate(gb, start=1):
-        click.echo(f"H{j} = {format_vector(v, pf.varnames, pf.order)}")
+        _echo(f"H{j} = {format_vector(v, pf.varnames, pf.order)}")
 
 
 @cli.command()
@@ -286,9 +296,9 @@ def quotient(file, max_degree, fmt):
     inner = ", ".join(
         f"[{format_vector(v, pf.varnames, pf.order)}]" for v in qp.module_classes
     )
-    click.echo(f"M^S = {{{inner}}}")
+    _echo(f"M^S = {{{inner}}}")
     for j, v in enumerate(qp.basis_classes, start=1):
-        click.echo(f"G{j}^S = [{format_vector(v, pf.varnames, pf.order)}]")
+        _echo(f"G{j}^S = [{format_vector(v, pf.varnames, pf.order)}]")
 
 
 @cli.command()
@@ -314,12 +324,12 @@ def subideal(file, max_degree, fmt):
     inner = ", ".join(
         format_modterm(mt, pf.varnames, basename="f") for mt in oF.formal_terms()
     )
-    click.echo(f"O_F = {{{inner}}}")
+    _echo(f"O_F = {{{inner}}}")
     for j, (v, p) in enumerate(zip(gvecs, expanded), start=1):
-        click.echo(
+        _echo(
             f"G{j} = {format_combination(v, pf.varnames, pf.order, basename='f')}"
         )
-        click.echo(f"G{j} expanded = {format_poly(p, pf.varnames, pf.order)}")
+        _echo(f"G{j} expanded = {format_poly(p, pf.varnames, pf.order)}")
 
 
 def main(argv=None):
@@ -331,14 +341,14 @@ def main(argv=None):
     except click.exceptions.Abort:
         return 1
     except click.ClickException as e:
-        click.echo(f"error: {e.format_message()}", err=True)
+        _echo(f"error: {e.format_message()}", err=True)
         return 1
     except ParseError as e:
-        click.echo(f"parse error: {e}", err=True)
+        _echo(f"parse error: {e}", err=True)
         return 2
     except PreconditionError as e:
-        click.echo(f"error: {e}", err=True)
+        _echo(f"error: {e}", err=True)
         return 3
     except BorderBasisError as e:
-        click.echo(f"error: {e}", err=True)
+        _echo(f"error: {e}", err=True)
         return 3

@@ -29,7 +29,10 @@ class Prebasis:
 
     def __init__(self, om, coeffs):
         mu, nu = om.mu, om.nu
-        coeffs = [[Fraction(x) for x in row] for row in coeffs]
+        coeffs = [
+            [x if type(x) is Fraction else Fraction(x) for x in row]
+            for row in coeffs
+        ]
         if len(coeffs) != mu or any(len(row) != nu for row in coeffs):
             raise PreconditionError(
                 f"coefficient matrix must be {mu}x{nu} for this order module"

@@ -35,6 +35,11 @@ def _monic(v, order):
     return v if c == 1 else v.scale(Fraction(1) / c)
 
 
+def _lead(g, order):
+    """(leading module term, leading coefficient, coefficient dict) of g."""
+    return g.leading_modterm(order) + (g.coeffs,)
+
+
 def gb_normal_form(gb, v, order):
     """Full normal form of v against gb: no support term of the result is
     divisible by a leading term of gb.
@@ -44,10 +49,16 @@ def gb_normal_form(gb, v, order):
     """
     if not gb or v.is_zero():
         return v
-    lead = [g.leading_modterm(order) + (g.coeffs,) for g in gb]
+    lead = [_lead(g, order) for g in gb]
+    return Vector(v.nvars, v.rank, _normal_form(lead, dict(v.coeffs), order))
+
+
+def _normal_form(lead, w, order):
+    """The normal form of the coefficient dict w, which it consumes, against
+    the elements whose `_lead` data is `lead`, as a coefficient dict (see
+    `gb_normal_form`)."""
     mod_key = order.mod_key
     out = {}
-    w = dict(v.coeffs)
     while w:
         mt = max(w, key=mod_key)
         for lmt, lc, gcoeffs in lead:
@@ -66,13 +77,7 @@ def gb_normal_form(gb, v, order):
                 break
         else:
             out[mt] = w.pop(mt)
-    return Vector(v.nvars, v.rank, out)
-
-
-def _spair_key(gi, gj, order):
-    (ti, k), _ = gi.leading_modterm(order)
-    (tj, _), _ = gj.leading_modterm(order)
-    return order.mod_key((term_lcm(ti, tj), k))
+    return out
 
 
 def groebner_basis(gens, order):
@@ -81,59 +86,59 @@ def groebner_basis(gens, order):
     basis = [_monic(v, order) for v in gens if not v.is_zero()]
     if not basis:
         return []
+    nvars, rank = basis[0].nvars, basis[0].rank
+    # parallel to basis, so no leading term is taken twice
+    lead = [_lead(g, order) for g in basis]
     heap = []
     counter = itertools.count()
 
     def push_pairs(new_idx):
-        gi = basis[new_idx]
-        (_, k), _ = gi.leading_modterm(order)
+        (ti, k), _, _ = lead[new_idx]
         for idx in range(new_idx):
-            (_, k2), _ = basis[idx].leading_modterm(order)
+            (tj, k2), _, _ = lead[idx]
             if k == k2:
-                key = _spair_key(basis[idx], gi, order)
+                key = order.mod_key((term_lcm(tj, ti), k))
                 heapq.heappush(heap, (key, next(counter), idx, new_idx))
 
     for idx in range(len(basis)):
         push_pairs(idx)
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        gi, gj = basis[i], basis[j]
-        (ti, k), _ = gi.leading_modterm(order)
-        (tj, _), _ = gj.leading_modterm(order)
+        (ti, _), _, _ = lead[i]
+        (tj, _), _, _ = lead[j]
         lcm = term_lcm(ti, tj)
-        s = gi.mul_term(term_quot(lcm, ti)) - gj.mul_term(term_quot(lcm, tj))
-        h = gb_normal_form(basis, s, order)
-        if not h.is_zero():
-            basis.append(_monic(h, order))
+        s = basis[i].mul_term(term_quot(lcm, ti)) - basis[j].mul_term(
+            term_quot(lcm, tj)
+        )
+        h = _normal_form(lead, dict(s.coeffs), order)
+        if h:
+            g = _monic(Vector(nvars, rank, h), order)
+            basis.append(g)
+            lead.append(_lead(g, order))
             push_pairs(len(basis) - 1)
-    return _reduce_basis(basis, order)
+    return _reduce_basis(basis, lead, order)
 
 
-def _reduce_basis(basis, order):
-    items = sorted(
-        basis, key=lambda g: order.mod_key(g.leading_modterm(order)[0])
-    )
+def _reduce_basis(basis, lead, order):
+    """Interreduce the Groebner basis `basis`, whose `_lead` data is `lead`."""
+    items = sorted(zip(basis, lead), key=lambda gl: order.mod_key(gl[1][0]))
     kept = []
-    kept_lts = []
-    for g in items:
-        lt = g.leading_modterm(order)[0]
-        if any(modterm_divides(l, lt) for l in kept_lts):
+    for g, gl in items:
+        if any(modterm_divides(kl[0], gl[0]) for _, kl in kept):
             continue
-        kept.append(g)
-        kept_lts.append(lt)
+        kept.append((g, gl))
     changed = True
     while changed:
         changed = False
-        for idx in range(len(kept)):
-            others = kept[:idx] + kept[idx + 1 :]
-            h = gb_normal_form(others, kept[idx], order)
-            if h != kept[idx]:
-                kept[idx] = _monic(h, order)
+        for idx, (g, _) in enumerate(kept):
+            others = [kl for _, kl in kept[:idx] + kept[idx + 1 :]]
+            h = _normal_form(others, dict(g.coeffs), order)
+            if h != g.coeffs:
+                g = _monic(Vector(g.nvars, g.rank, h), order)
+                kept[idx] = (g, _lead(g, order))
                 changed = True
-    kept.sort(
-        key=lambda g: order.mod_key(g.leading_modterm(order)[0]), reverse=True
-    )
-    return kept
+    kept.sort(key=lambda gl: order.mod_key(gl[1][0]), reverse=True)
+    return [g for g, _ in kept]
 
 
 def leading_module(gb, order):

@@ -1,9 +1,14 @@
 """Dense exact-rational matrices for the multiplication maps, and the sparse
-elimination behind the main algorithm."""
+elimination behind the main algorithm.
+
+The elimination is fraction-free: its rows are primitive integer
+coefficient dicts, and `Fraction`s are built only for its output, one per
+coefficient, by dividing each row by its pivot coefficient."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import PreconditionError
 from .ring import Vector, term_deg, terms_up_to_degree
@@ -77,20 +82,27 @@ def _degree_key(order):
 
 
 def _echelon(rows, key):
-    """Gauss-Jordan elimination of the coefficient dicts `rows`.
+    """Gauss-Jordan elimination of the rational coefficient dicts `rows`.
 
     Returns the reduced echelon basis of their K-span as a dict from pivot
     to row, largest pivot first: each row is monic at its `key`-largest
     term, its pivot, and no other row contains that pivot.
     """
     basis = {}
-    _reduce_into(basis, rows, key)
-    return {p: basis[p] for p in sorted(basis, key=key, reverse=True)}
+    _reduce_into(basis, map(_integral, rows), key)
+    return {p: _monic(basis[p], p) for p in sorted(basis, key=key, reverse=True)}
 
 
 def _reduce_into(basis, rows, key):
-    """Insert the coefficient dicts `rows` into the reduced echelon basis
-    `basis` (pivot -> row, see `_echelon`), in place.
+    """Insert the integer coefficient dicts `rows` into the echelon basis
+    `basis` (pivot -> row), in place.
+
+    Each row of `basis` is a primitive integer dict (its coefficients have
+    gcd 1) whose pivot, its `key`-largest term, has a positive coefficient,
+    and no other row contains that pivot; `_monic` turns the rows into the
+    reduced echelon basis over Q, which is unique.  Elimination is
+    fraction-free: clearing a term scales both rows by integers (see
+    `_eliminate`), and every row it changes is divided by its content.
 
     A pivot, once in `basis`, stays: inserting a row only clears its pivot
     from the other rows, and each row's pivot is larger than every other
@@ -98,31 +110,64 @@ def _reduce_into(basis, rows, key):
     """
     for coeffs in rows:
         r = dict(coeffs)
-        # the basis rows hold no pivot but their own, so subtracting one
-        # leaves the coefficients of the other pivots unchanged
+        # the basis rows hold no pivot but their own, so clearing one only
+        # rescales the coefficients of the other pivots
         for p in [mt for mt in r if mt in basis]:
-            _axpy(r, -r[p], basis[p])
+            _eliminate(r, p, basis[p])
         if not r:
             continue
         piv = max(r, key=key)
-        inv = 1 / r[piv]
-        if inv != 1:
-            r = {mt: c * inv for mt, c in r.items()}
-        for row in basis.values():
-            c = row.get(piv)
-            if c:
-                _axpy(row, -c, r)
+        r = _primitive(r, piv)
+        for q, row in basis.items():
+            if piv in row:
+                _eliminate(row, piv, r)
+                basis[q] = _primitive(row, q)
         basis[piv] = r
 
 
-def _axpy(r, a, row):
-    """r += a * row, in place, dropping the terms that cancel."""
+def _eliminate(r, p, row):
+    """Clear the term p of the integer dict r with `row`, whose pivot p has
+    a positive coefficient: r <- (row[p]/g) r - (r[p]/g) row, in place,
+    with g = gcd(row[p], r[p]), dropping the terms that cancel."""
+    a, b = row[p], r[p]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        for mt in r:
+            r[mt] *= a
+    # b and every coefficient of row are nonzero, so a sum that cancels
+    # had its key in r
     for mt, c in row.items():
-        s = r.get(mt, 0) + a * c
+        s = r.get(mt, 0) - b * c
         if s:
             r[mt] = s
         else:
-            r.pop(mt, None)
+            del r[mt]
+
+
+def _primitive(r, piv):
+    """The integer dict r divided by its content, signed so that the
+    coefficient of piv is positive."""
+    g = gcd(*r.values())
+    if r[piv] < 0:
+        g = -g
+    if g == 1:
+        return r
+    return {mt: c // g for mt, c in r.items()}
+
+
+def _integral(coeffs):
+    """The rational coefficient dict `coeffs` times the lcm of its
+    denominators, with integer coefficients."""
+    m = lcm(*(c.denominator for c in coeffs.values()))
+    return {mt: c.numerator * (m // c.denominator) for mt, c in coeffs.items()}
+
+
+def _monic(row, piv):
+    """The integer row divided by its coefficient at piv, over Q."""
+    lc = row[piv]
+    return {mt: Fraction(c, lc) for mt, c in row.items()}
 
 
 def span_basis(vectors, universe):

@@ -151,7 +151,8 @@ class Poly:
         self.coeffs = {}
         if coeffs:
             for t, c in coeffs.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     self.coeffs[t] = c
 
@@ -263,7 +264,8 @@ class Vector:
         self.coeffs = {}
         if coeffs:
             for mt, c in coeffs.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     self.coeffs[mt] = c
 

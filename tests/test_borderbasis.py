@@ -143,19 +143,29 @@ def test_lex_eliminates_degree_first():
 # differential test on modules of known codimension
 
 
+def unimodular(rank, mix):
+    """L*U, of determinant 1, for the unitriangular integer matrices U
+    (upper) and L (lower) whose off-diagonal entries are `mix`, U's first."""
+    entries, n = iter(mix), range(rank)
+    u = [[next(entries) if i < j else int(i == j) for j in n] for i in n]
+    l = [[next(entries) if i > j else int(i == j) for j in n] for i in n]
+    return [[sum(l[i][m] * u[m][j] for m in n) for j in n] for i in n]
+
+
 def known_codim_module(exps, mix, seed):
     """Generators of a module of codimension sum_k prod_i a_ki.
 
     Component k gets x_i^a_ki plus up to three random terms of lower degree:
     the leading forms x_i^a_ki have no common zero at infinity, so the ideal
-    has codimension prod_i a_ki (Bezout).  For rank 2 the components are
-    mixed by the unimodular integer matrix [[1, b], [c, 1 + b*c]], an
-    automorphism of P^2 that keeps the codimension.
+    has codimension prod_i a_ki (Bezout).  The components are mixed by the
+    unimodular integer matrix `unimodular(rank, mix)`, an automorphism of
+    P^r that keeps the codimension; for rank 2 it is [[1, b], [c, 1 + b*c]]
+    with (b, c) = mix.  The lower terms have denominators up to 7 and, one
+    time in eight, a numerator of about 10^12.
     """
     rng = random.Random(seed)
     nvars, rank = len(exps[0]), len(exps)
-    b, c = mix
-    matrix = [[1, b], [c, 1 + b * c]] if rank == 2 else [[1]]
+    matrix = unimodular(rank, mix)
     gens = []
     for k, a in enumerate(exps):
         for i in range(nvars):
@@ -163,7 +173,8 @@ def known_codim_module(exps, mix, seed):
             poly = {lead: Fraction(1)}
             pool = terms_up_to_degree(nvars, a[i] - 1)
             for t in rng.sample(pool, min(3, len(pool))):
-                poly[t] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                big = 10**12 if rng.randrange(8) == 0 else 3
+                poly[t] = Fraction(rng.randint(-big, big), rng.randint(1, 7))
             coeffs = {
                 (t, row + 1): matrix[row][k] * x
                 for row in range(rank)
@@ -176,13 +187,13 @@ def known_codim_module(exps, mix, seed):
 @st.composite
 def known_codim_inputs(draw):
     nvars = draw(st.integers(1, 3))
-    rank = draw(st.integers(1, 2))
-    top = 3 if nvars < 3 else 2
+    rank = draw(st.integers(1, 3))
+    top = 3 if nvars * rank < 6 and nvars < 3 else 2
     exps = [
         tuple(draw(st.integers(1, top)) for _ in range(nvars))
         for _ in range(rank)
     ]
-    mix = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    mix = tuple(draw(st.integers(-2, 2)) for _ in range(rank * (rank - 1)))
     return exps, mix, draw(st.integers(0, 2**16))
 
 
@@ -197,6 +208,7 @@ CARRIED = [([(3, 3)], (1, -1), 1), ([(2, 2, 2)], (0, 0), 3)]
 @example(CARRIED[0], "lex")
 @example(CARRIED[1], "deglex")
 @example(([(3, 2), (2, 3)], (1, 2), 4), "degrevlex")
+@example(([(2, 1), (1, 2), (2, 2)], (1, -1, 2, 1, -2, 1), 5), "deglex")
 def test_matches_oracles_on_known_codimension(data, name):
     exps, mix, seed = data
     order = TermOrder(name)
@@ -218,3 +230,21 @@ def test_carried_examples_start_two_degrees_below_the_border():
         om, _ = module_border_basis(gens, TermOrder("degrevlex"))
         top = max(term_deg(t) for t, _ in om.border_terms)
         assert top - max(v.degree() for v in gens) >= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    known_codim_inputs(),
+    st.sampled_from(["degrevlex", "deglex", "lex"]),
+    st.lists(
+        st.fractions(-(10**12), 10**12, max_denominator=7).filter(bool),
+        min_size=9,
+        max_size=9,
+    ),
+)
+def test_scaling_generators_keeps_the_basis(data, name, scalars):
+    exps, mix, seed = data
+    order = TermOrder(name)
+    gens, _ = known_codim_module(exps, mix, seed)
+    scaled = [v.scale(c) for v, c in zip(gens, scalars)]
+    assert module_border_basis(scaled, order) == module_border_basis(gens, order)

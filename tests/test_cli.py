@@ -4,7 +4,11 @@ Each test drives ``main(argv)`` in-process and checks stdout byte-for-byte,
 so these double as regression tests for the printed formats.
 """
 
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 
@@ -237,3 +241,23 @@ def test_help_exits_zero(capsys):
     rc, out, _ = run(capsys, ["--help"])
     assert rc == 0
     assert "compute" in out and "subideal" in out
+
+
+def test_redirected_streams_are_not_kept(write_case):
+    # an in-process caller that redirects stdout/stderr per call must get
+    # its streams back: nothing may hold on to them after main returns
+    good = write_case(MBBA_FILE)
+    bad = write_case(
+        "ring Q[x,y]\nrank 2\norder degrevlex\nvectors:\nx*e3\n", "bad.txt"
+    )
+    refs = []
+    for i in range(20):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["compute", good if i % 2 else bad])
+        assert rc == (0 if i % 2 else 2)
+        assert (out if i % 2 else err).getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []

@@ -1,5 +1,6 @@
 """Exact rational matrices and sparse echelon spans."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from modborder.linalg import (
     RatMatrix,
     _degree_key,
     _echelon,
+    _integral,
+    _monic,
     _reduce_into,
     degree_universe,
     span_basis,
@@ -162,8 +165,8 @@ def test_reduce_into_batches_equals_one_pass(batches, name):
     whole = _echelon(rows, key)
     basis = {}
     for batch in batches:
-        _reduce_into(basis, batch, key)
-    assert basis == whole
+        _reduce_into(basis, map(_integral, batch), key)
+    assert {p: _monic(r, p) for p, r in basis.items()} == whole
     assert list(whole) == sorted(whole, key=key, reverse=True)
     for p, r in whole.items():
         assert r[p] == 1 and max(r, key=key) == p
@@ -172,3 +175,23 @@ def test_reduce_into_batches_equals_one_pass(batches, name):
     vectors = [Vector(2, 2, r) for r in rows]
     u = degree_universe(2, 2, 2, order)
     assert span_basis(vectors, u) == [Vector(2, 2, r) for r in whole.values()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_batches(), st.sampled_from(["degrevlex", "deglex", "lex"]))
+def test_reduce_into_keeps_primitive_integer_rows(batches, name):
+    key = _degree_key(TermOrder(name))
+    basis = {}
+    for batch in batches:
+        _reduce_into(basis, map(_integral, batch), key)
+        for p, r in basis.items():
+            assert all(type(c) is int and c for c in r.values())
+            assert math.gcd(*r.values()) == 1
+            assert r[p] > 0 and max(r, key=key) == p
+            assert all(q == p or p not in basis[q] for q in basis)
+
+
+def test_integral_scales_by_the_denominators():
+    row = {"a": Fraction(1, 6), "b": Fraction(-3, 4), "c": 2}
+    assert _integral(row) == {"a": 2, "b": -9, "c": 24}
+    assert _integral({"a": 4, "b": 6}) == {"a": 4, "b": 6}
