@@ -2,7 +2,6 @@
 
 from .borderbasis import module_border_basis
 from .characterize import (
-    MultMatrices,
     NeighborPair,
     border_form,
     buchberger_check,
@@ -35,7 +34,6 @@ from .groebner import (
     naive_border_basis,
     syzygies,
 )
-from .linalg import RatMatrix, degree_universe, span_basis
 from .ordermodule import OrderIdeal, OrderModule, validate_order_module
 from .quotient import (
     QuotPrebasis,
@@ -58,7 +56,6 @@ __all__ = [
     "BorderBasisError",
     "DivisionResult",
     "FOrderIdeal",
-    "MultMatrices",
     "NeighborPair",
     "ORDER_NAMES",
     "OrderIdeal",
@@ -69,7 +66,6 @@ __all__ = [
     "PreconditionError",
     "QuotPrebasis",
     "QuotientContext",
-    "RatMatrix",
     "SubidealContext",
     "TermOrder",
     "Vector",
@@ -79,7 +75,6 @@ __all__ = [
     "check_quotient_basis",
     "check_subideal_basis",
     "commuting_check",
-    "degree_universe",
     "divide",
     "gb_normal_form",
     "groebner_basis",
@@ -100,7 +95,6 @@ __all__ = [
     "reconstruct_prebasis",
     "remainder_vector",
     "rewrite_step",
-    "span_basis",
     "subideal_border_basis",
     "sv_vector",
     "syzygies",

@@ -14,7 +14,7 @@ def module_border_basis(gens, order, rank=None, max_degree=32):
 
     Keeps one reduced echelon form of the span V of the generators and the
     products made so far, with the terms ordered degree first (see
-    `degree_universe`), so its rows pivoted at degree <= d are the reduced
+    `linalg._degree_key`), so its rows pivoted at degree <= d are the reduced
     echelon basis of V ∩ span{module terms of degree <= d}.  Each round
     multiplies by the variables only the rows of degree <= d that were not
     multiplied before, and inserts the products into the same echelon form.

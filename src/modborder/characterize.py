@@ -1,8 +1,9 @@
 """Characterization machinery for border prebases.
 
-Formal multiplication matrices and the commuting criterion, SV-vectors,
-neighbors and their syzygies with liftings, the Buchberger criterion, and
-border forms.  Indices are 0-based throughout; printed output is 1-based.
+Formal multiplication matrices (dense lists of rows over Q) and the
+commuting criterion, SV-vectors, neighbors and their syzygies with liftings,
+the Buchberger criterion, and border forms.  Indices are 0-based throughout;
+printed output is 1-based.
 """
 
 from __future__ import annotations
@@ -11,44 +12,28 @@ from fractions import Fraction
 
 from .division import divide, normal_remainder
 from .errors import PreconditionError
-from .linalg import RatMatrix
-from .ordermodule import OrderModule
 from .ring import Poly, Vector, term_lcm, term_mul, term_quot, unit_terms
 
 
-class MultMatrices:
-    """The n formal multiplication matrices X_1..X_n, each mu x mu."""
-
-    __slots__ = ("mats",)
-
-    def __init__(self, mats):
-        self.mats = list(mats)
-
-    def __len__(self):
-        return len(self.mats)
-
-    def __getitem__(self, s):
-        return self.mats[s]
-
-
 def mult_matrices(g):
-    """Column l of X_s encodes x_s * t_l e_{alpha_l}: a unit column when the
-    product stays in M, else the coefficient column of its border term."""
+    """X_1..X_n, each a list of mu rows of `Fraction`s.  Column l of X_s
+    encodes x_s * t_l e_{alpha_l}: a unit column when the product stays in
+    M, else the coefficient column of its border term."""
     om = g.om
     mu = om.mu
     mats = []
     for xs in unit_terms(om.nvars):
-        mat = RatMatrix(mu, mu)
+        mat = [[Fraction(0)] * mu for _ in range(mu)]
         for l, (t, k) in enumerate(om.module_terms):
             prod = (term_mul(xs, t), k)
             if prod in om.module_pos:
-                mat.data[om.module_pos[prod]][l] = Fraction(1)
+                mat[om.module_pos[prod]][l] = Fraction(1)
             else:
                 j = om.border_pos[prod]
                 for i in range(mu):
-                    mat.data[i][l] = g.coeffs[i][j]
+                    mat[i][l] = g.coeffs[i][j]
         mats.append(mat)
-    return MultMatrices(mats)
+    return mats
 
 
 def commuting_check(mm):
@@ -57,9 +42,25 @@ def commuting_check(mm):
     n = len(mm)
     for s in range(n):
         for u in range(s + 1, n):
-            if mm[s].mul(mm[u]) != mm[u].mul(mm[s]):
+            if _mat_mul(mm[s], mm[u]) != _mat_mul(mm[u], mm[s]):
                 return False, (s, u)
     return True, None
+
+
+def _mat_mul(a, b):
+    """The product of two square matrices of one size, as lists of rows."""
+    mu = len(b)
+    out = []
+    for arow in a:
+        orow = [Fraction(0)] * mu
+        for k, x in enumerate(arow):
+            if x:
+                brow = b[k]
+                for j in range(mu):
+                    if brow[j]:
+                        orow[j] += x * brow[j]
+        out.append(orow)
+    return out
 
 
 def module_action(mm, g, p, coords):
@@ -85,11 +86,7 @@ def module_action(mm, g, p, coords):
 
 
 def _mat_vec(m, v):
-    out = []
-    for i in range(m.rows):
-        row = m.data[i]
-        out.append(sum((a * b for a, b in zip(row, v)), Fraction(0)))
-    return out
+    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m]
 
 
 def sv_vector(g, i, j):

@@ -88,6 +88,13 @@ def _echo(message, err=False):
     click.echo(message, file=sys.stderr if err else sys.stdout)
 
 
+def _show_help(ctx, param, value):
+    """click's --help callback, writing through `_echo`."""
+    if value and not ctx.resilient_parsing:
+        _echo(ctx.get_help())
+        ctx.exit()
+
+
 def _emit_json(obj):
     _echo(json.dumps(obj, indent=2))
 
@@ -239,16 +246,16 @@ def multmat(file, fmt):
         _emit_json(
             {
                 "matrices": [
-                    [[str(x) for x in row] for row in m.data] for m in mm.mats
+                    [[str(x) for x in row] for row in m] for m in mm
                 ],
                 "commuting": ok,
                 "witness": None if ok else [pair[0] + 1, pair[1] + 1],
             }
         )
         return
-    for s, m in enumerate(mm.mats, start=1):
+    for s, m in enumerate(mm, start=1):
         _echo(f"X{s} =")
-        for row in m.data:
+        for row in m:
             _echo("  [" + ", ".join(str(x) for x in row) + "]")
     if ok:
         _echo("commuting: yes")
@@ -332,6 +339,11 @@ def subideal(file, max_degree, fmt):
         _echo(f"G{j} expanded = {format_poly(p, pf.varnames, pf.order)}")
 
 
+# click's own --help writes through its stream cache (see `_echo`)
+for _cmd in (cli, *cli.commands.values()):
+    click.help_option(callback=_show_help)(_cmd)
+
+
 def main(argv=None):
     try:
         cli.main(args=argv, prog_name="modborder", standalone_mode=False)
@@ -346,9 +358,6 @@ def main(argv=None):
     except ParseError as e:
         _echo(f"parse error: {e}", err=True)
         return 2
-    except PreconditionError as e:
-        _echo(f"error: {e}", err=True)
-        return 3
     except BorderBasisError as e:
         _echo(f"error: {e}", err=True)
         return 3

@@ -11,18 +11,12 @@ from .ring import (
     term_quot,
     terms_of_degree,
 )
+from .textio import format_term
 
 
 def _term_str(t):
-    if not any(t):
-        return "1"
-    parts = []
-    for i, e in enumerate(t):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "*".join(parts)
+    """The term t printed in the variables x1..xn."""
+    return format_term(t, [f"x{i + 1}" for i in range(len(t))])
 
 
 class OrderIdeal:

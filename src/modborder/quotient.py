@@ -8,7 +8,7 @@ from .borderbasis import module_border_basis
 from .characterize import is_border_basis
 from .division import Prebasis, divide, remainder_vector
 from .errors import PreconditionError
-from .groebner import gb_normal_form, groebner_basis
+from .groebner import _lead, _normal_form, groebner_basis
 from .ordermodule import OrderIdeal, OrderModule, _term_str
 from .ring import Vector
 
@@ -16,7 +16,7 @@ from .ring import Vector
 class QuotientContext:
     """Residue-class arithmetic in P^r/S with GB-canonical representatives."""
 
-    __slots__ = ("sgens", "order", "gb")
+    __slots__ = ("sgens", "order", "gb", "_lead")
 
     def __init__(self, sgens, order):
         sgens = list(sgens)
@@ -26,12 +26,13 @@ class QuotientContext:
         self.sgens = sgens
         self.order = order
         self.gb = groebner_basis(sgens, order) if sgens else []
+        self._lead = [_lead(g, order) for g in self.gb]
 
     def epsilon(self, v):
-        """The canonical representative of the residue class v + S."""
-        if not self.gb:
-            return v
-        return gb_normal_form(self.gb, v, self.order)
+        """The canonical representative of the residue class v + S (see
+        `gb_normal_form`)."""
+        nf = _normal_form(self._lead, dict(v.coeffs), self.order)
+        return Vector(v.nvars, v.rank, nf)
 
     def same_class(self, v, w):
         return self.epsilon(v - w).is_zero()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .borderbasis import module_border_basis
 from .division import Prebasis
 from .errors import PreconditionError
 from .groebner import (
@@ -11,7 +12,7 @@ from .groebner import (
     leading_module,
     syzygies,
 )
-from .quotient import QuotPrebasis, QuotientContext, check_quotient_basis, quotient_border_basis
+from .quotient import QuotPrebasis, QuotientContext, check_quotient_basis
 from .ring import Vector, pure_power_bounds, term_one
 
 
@@ -92,8 +93,9 @@ def _zero_dimensional(hgens, order):
 def subideal_border_basis(hgens, fgens, order, max_degree=32):
     """The O_F-subideal border basis of I inside J = <fgens>.
 
-    Lifts I ∩ J to vectors B_w = sum q_vw e_v, runs the quotient algorithm
-    against the syzygy module of F, and reads the result through phi.
+    Lifts I ∩ J to vectors B_w = sum q_vw e_v, runs the main algorithm on
+    them and the syzygies of F, and reads the result through phi.  The terms
+    of M are independent modulo U ⊇ Syz(F), so no residue classes are needed.
     Returns (FOrderIdeal, basis vectors as formal combinations); expand with
     the context under oF.ctx.
     """
@@ -113,7 +115,7 @@ def subideal_border_basis(hgens, fgens, order, max_degree=32):
     qtuples = ideal_intersection(hgens, fgens, order)
     bvecs = [Vector.from_polys(q) for q in qtuples]
     bvecs = [v for v in bvecs if not v.is_zero()]
-    qp, om, g = quotient_border_basis(bvecs, ctx.syz, order, max_degree)
+    om, g = module_border_basis(bvecs + ctx.syz, order, max_degree=max_degree)
     return FOrderIdeal(ctx, om), g.vectors()
 
 

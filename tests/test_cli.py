@@ -92,6 +92,14 @@ def test_multmat_commuting(write_case, capsys):
     )
 
 
+def test_multmat_empty_order_module(write_case, capsys):
+    # <e1> = P: mu = 0, so each X_s is the empty matrix
+    path = write_case("ring Q[x,y]\nrank 1\norder degrevlex\nvectors:\ne1\n")
+    rc, out, _ = run(capsys, ["multmat", path])
+    assert rc == 0
+    assert out == "X1 =\nX2 =\ncommuting: yes\n"
+
+
 def test_multmat_non_commuting(write_case, capsys):
     rc, out, _ = run(capsys, ["multmat", write_case(PREBASIS7_FILE)])
     assert rc == 0
@@ -250,13 +258,15 @@ def test_redirected_streams_are_not_kept(write_case):
     bad = write_case(
         "ring Q[x,y]\nrank 2\norder degrevlex\nvectors:\nx*e3\n", "bad.txt"
     )
+    runs = [(["compute", good if i % 2 else bad], 0 if i % 2 else 2) for i in range(20)]
+    runs += [([*cmd, "--help"], 0) for cmd in ([], ["compute"], ["check"])]
     refs = []
-    for i in range(20):
+    for argv, want in runs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["compute", good if i % 2 else bad])
-        assert rc == (0 if i % 2 else 2)
-        assert (out if i % 2 else err).getvalue()
+            rc = main(argv)
+        assert rc == want
+        assert (err if rc else out).getvalue()
         refs += [weakref.ref(out), weakref.ref(err)]
         del out, err
     gc.collect()
