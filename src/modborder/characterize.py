@@ -9,6 +9,7 @@ printed output is 1-based.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .division import divide, normal_remainder
 from .errors import PreconditionError
@@ -38,27 +39,40 @@ def mult_matrices(g):
 
 def commuting_check(mm):
     """Return (True, None) if the matrices pairwise commute, else
-    (False, (s, u)) for the first non-commuting pair (0-based, s < u)."""
-    n = len(mm)
+    (False, (s, u)) for the first non-commuting pair (0-based, s < u).
+
+    Each X_s is scaled to an integer matrix by the lcm of its denominators;
+    scalars commute, so the integer products decide the same question."""
+    ints = [_integer_matrix(m) for m in mm]
+    n = len(ints)
     for s in range(n):
         for u in range(s + 1, n):
-            if _mat_mul(mm[s], mm[u]) != _mat_mul(mm[u], mm[s]):
+            if _mat_mul(ints[s], ints[u]) != _mat_mul(ints[u], ints[s]):
                 return False, (s, u)
     return True, None
 
 
+def _integer_matrix(m):
+    """L*m for a matrix of ints or Fractions, L the lcm of its
+    denominators."""
+    den = lcm(*{x.denominator for row in m for x in row})
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m]
+
+
 def _mat_mul(a, b):
-    """The product of two square matrices of one size, as lists of rows."""
-    mu = len(b)
+    """The product of two square matrices of one size, as lists of rows.
+    Its entries have the type of the inputs' entries: ints or Fractions."""
+    if not b:
+        return []
+    zero = b[0][0] * 0
+    bsparse = [[(j, y) for j, y in enumerate(brow) if y] for brow in b]
     out = []
     for arow in a:
-        orow = [Fraction(0)] * mu
-        for k, x in enumerate(arow):
+        orow = [zero] * len(b)
+        for x, brow in zip(arow, bsparse):
             if x:
-                brow = b[k]
-                for j in range(mu):
-                    if brow[j]:
-                        orow[j] += x * brow[j]
+                for j, y in brow:
+                    orow[j] += x * y
         out.append(orow)
     return out
 

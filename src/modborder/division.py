@@ -1,10 +1,18 @@
-"""Module border prebases and the border division algorithm."""
+"""Module border prebases and the border division algorithm.
+
+Division runs on integers: the remainder is one integer coefficient dict over
+a single common denominator, and each G_j is rewritten through as an integer
+row with the lcm of its denominators (cached on the prebasis).  Fractions are
+built only for the quotient entries and the remainder coordinates.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import PreconditionError
+from .linalg import _integral
 from .ordermodule import OrderIdeal, OrderModule
 from .ring import (
     Poly,
@@ -25,7 +33,7 @@ class Prebasis:
     All indices in this module are 0-based; printed output is 1-based.
     """
 
-    __slots__ = ("om", "coeffs", "_vectors", "_basis_verdict")
+    __slots__ = ("om", "coeffs", "_vectors", "_int_rows", "_basis_verdict")
 
     def __init__(self, om, coeffs):
         mu, nu = om.mu, om.nu
@@ -40,6 +48,7 @@ class Prebasis:
         self.om = om
         self.coeffs = coeffs
         self._basis_verdict = None
+        self._int_rows = None
         nvars, rank = om.nvars, om.rank
         self._vectors = []
         for j, bmt in enumerate(om.border_terms):
@@ -106,6 +115,19 @@ class Prebasis:
     def vectors(self):
         return list(self._vectors)
 
+    def _integer_rows(self):
+        """Each G_j as (L_j, tail): L_j is the lcm of its denominators, the
+        coefficient of the border term in L_j*G_j, and the tail is the
+        integer coefficient dict of the other terms of L_j*G_j, which lie
+        in M.  Prebases are immutable, so the rows are built once, on first
+        use."""
+        if self._int_rows is None:
+            self._int_rows = []
+            for bmt, v in zip(self.om.border_terms, self._vectors):
+                tail = _integral(v.coeffs)
+                self._int_rows.append((tail.pop(bmt), tail))
+        return self._int_rows
+
     def __eq__(self, other):
         return (
             isinstance(other, Prebasis)
@@ -139,43 +161,88 @@ def _check_compat(g, v):
         raise PreconditionError("vector does not live in the prebasis module")
 
 
+# the remainder's content is divided out each time its denominator has grown
+# by this many bits since the start or the last removal
+_CONTENT_BITS = 64
+
+
 def divide(g, v, choose=None):
     """Border division of v by the prebasis g.
 
     Repeatedly picks a support term of maximal M-index (by default the
-    sigma-Pos largest; `choose` may pick any of them — the result does not
-    depend on the choice) and rewrites it through the border factorization
-    with the smallest border index.  Returns a DivisionResult satisfying
+    sigma-Pos largest; `choose` may pick any of them from the list of all of
+    them, sorted sigma-Pos descending — the result does not depend on the
+    choice) and rewrites it through the border factorization with the
+    smallest border index.  Returns a DivisionResult satisfying
     v = sum_j p_j G_j + sum_i c_i t_i e_{alpha_i}.
+
+    The remainder is kept as integers q over one common denominator D.  A
+    step with coefficient a/D rewrites through the integer row L_j*G_j
+    (`Prebasis._integer_rows`): with h = gcd(a, L_j) it scales q and D by L_j/h
+    and subtracts (a/h)*t'*L_j*G_j, which cancels the rewritten term.  The
+    terms outside M sit in buckets by M-index; rewriting a term of index i
+    only creates terms of index < i, so the bucket of the maximal index is
+    complete when the loop reaches it, and a step looks up the index of the
+    terms it creates only.
     """
     _check_compat(g, v)
     om = g.om
     index, mod_key = om.index, om.order.mod_key
+    rows = g._integer_rows()
     quotients = [{} for _ in range(om.nu)]
-    q = dict(v.coeffs)
-    while q:
-        inds = {mt: index(mt) for mt in q}
-        ind = max(inds.values())
-        if ind == 0:
-            break
-        cands = [mt for mt, i in inds.items() if i == ind]
-        cands.sort(key=mod_key, reverse=True)
-        mt = cands[0] if choose is None else choose(cands)
-        a = q[mt]
-        tprime, bmt = om.factor_through_border(mt)
-        j = om.border_pos[bmt]
-        pj = quotients[j]
-        pj[tprime] = pj.get(tprime, 0) + a
-        # q -= a * t' * G_j; a and every coefficient of G_j are nonzero, so a
-        # sum that cancels had its key in q
-        for (s, k), c in g.vector(j).coeffs.items():
-            key = (term_mul(tprime, s), k)
-            r = q.get(key, 0) - a * c
-            if r:
-                q[key] = r
-            else:
-                del q[key]
-    coords = [q.get(mt, Fraction(0)) for mt in om.module_terms]
+    den = lcm(*{c.denominator for c in v.coeffs.values()})
+    q = _integral(v.coeffs)
+    content_at = den.bit_length() + _CONTENT_BITS
+    inds = {mt: index(mt) for mt in q}
+    buckets = [set() for _ in range(max(inds.values(), default=0) + 1)]
+    for mt, i in inds.items():
+        buckets[i].add(mt)
+    for ind in range(len(buckets) - 1, 0, -1):
+        cands = sorted(buckets[ind], key=mod_key, reverse=True)
+        while cands:
+            mt = cands[0] if choose is None else choose(list(cands))
+            cands.remove(mt)
+            a = q.pop(mt)
+            tprime, bmt = om.factor_through_border(mt)
+            j = om.border_pos[bmt]
+            # mt, and so (j, t'), comes up once: later terms have lower index
+            quotients[j][tprime] = Fraction(a, den)
+            lj, tail = rows[j]
+            h = gcd(a, lj)
+            if h != lj:
+                m = lj // h
+                den *= m
+                for key in q:
+                    q[key] *= m
+            f = -(a // h)
+            # q += f * t' * L_j*G_j: its border term cancels mt, popped above
+            for (s, k), c in tail.items():
+                key = (term_mul(tprime, s), k)
+                r = q.get(key)
+                if r is None:
+                    q[key] = f * c
+                    i = inds.get(key)
+                    if i is None:
+                        i = inds[key] = index(key)
+                    buckets[i].add(key)
+                else:
+                    r += f * c
+                    if r:
+                        q[key] = r
+                    else:
+                        del q[key]
+                        buckets[inds[key]].discard(key)
+            if den.bit_length() > content_at:
+                h = gcd(den, *q.values())
+                if h != 1:
+                    den //= h
+                    for key in q:
+                        q[key] //= h
+                content_at = den.bit_length() + _CONTENT_BITS
+    coords = [
+        Fraction(q[mt], den) if mt in q else Fraction(0)
+        for mt in om.module_terms
+    ]
     return DivisionResult([Poly(om.nvars, p) for p in quotients], coords)
 
 
@@ -243,6 +310,12 @@ def _closure(terms):
     return out
 
 
+# the demotion search of `reconstruct_prebasis` visits at most this many
+# states; it is exponential in the worst case, and the inputs that have a
+# reading need a handful
+_RECONSTRUCT_STATES = 1000
+
+
 def reconstruct_prebasis(vectors, order):
     """Recover the (unique) prebasis whose vectors are the given ones.
 
@@ -251,7 +324,8 @@ def reconstruct_prebasis(vectors, order):
     when that overshoots — the closure can be a full staircase whose top
     layer is readable either way — the element count |dM| = number of vectors
     disambiguates, and we search the few admissible demotions of maximal
-    elements.  Ambiguous or malformed input is rejected.
+    elements, giving up after `_RECONSTRUCT_STATES` states.  Ambiguous or
+    malformed input is rejected.
     """
     vectors = list(vectors)
     if not vectors:
@@ -302,31 +376,37 @@ def reconstruct_prebasis(vectors, order):
         except PreconditionError:
             return None
 
-    def search(mk):
-        size = sum(len(s) for s in mk.values())
+    # depth first, each state once, children in the order they are listed
+    stack = [start]
+    while stack:
+        mk = stack.pop()
         state = frozenset((k, frozenset(s)) for k, s in mk.items())
         if state in seen_states:
-            return
+            continue
         seen_states.add(state)
+        if len(seen_states) > _RECONSTRUCT_STATES:
+            raise PreconditionError(
+                "prebasis reconstruction gave up: more than "
+                f"{_RECONSTRUCT_STATES} candidate order modules searched"
+            )
+        size = sum(len(s) for s in mk.values())
         if size == mu:
             pb = valid_reading(mk)
             if pb is not None:
                 found.append(pb)
-            return
+            continue
         if size < mu:
-            return
+            continue
+        # demote a maximal element t (mk[k] is an order ideal: no x_i*t in it)
+        children = []
         for k in range(1, rank + 1):
             for t in mk[k]:
-                bigger = any(
-                    s != t and term_divides(t, s) for s in mk[k]
-                )
-                if bigger:
+                if any(term_mul(t, xs) in mk[k] for xs in units):
                     continue
                 child = dict(mk)
                 child[k] = mk[k] - {t}
-                search(child)
-
-    search(start)
+                children.append(child)
+        stack.extend(reversed(children))
     if not found:
         raise PreconditionError(
             "vectors do not form a module border prebasis"

@@ -184,14 +184,18 @@ def macaulay_complement(gb, order, bound=32):
 
 def naive_border_basis(gens, order, bound=32):
     """Border basis via the Groebner route: M = Macaulay complement of a
-    reduced GB, G_j = b_j e - NF(b_j e)."""
+    reduced GB, G_j = b_j e - NF(b_j e).  The GB's `_lead` data is built
+    once for all border terms."""
     gb = groebner_basis(gens, order)
     om = macaulay_complement(gb, order, bound)
     nvars, rank = om.nvars, om.rank
+    lead = [_lead(g, order) for g in gb]
     vectors = []
-    for t, k in om.border_terms:
-        mono = Vector.monomial(nvars, rank, t, k)
-        vectors.append(mono - gb_normal_form(gb, mono, order))
+    for mt in om.border_terms:
+        nf = _normal_form(lead, {mt: Fraction(1)}, order)
+        coeffs = {key: -c for key, c in nf.items()}
+        coeffs[mt] = Fraction(1)
+        vectors.append(Vector(nvars, rank, coeffs))
     return om, Prebasis.from_vectors(om, vectors)
 
 

@@ -90,7 +90,10 @@ def _primitive(r, piv):
 def _integral(coeffs):
     """The rational coefficient dict `coeffs` times the lcm of its
     denominators, with integer coefficients."""
-    m = lcm(*(c.denominator for c in coeffs.values()))
+    # a set, not a generator: CPython 3.11 builds the argument tuple of
+    # *generator by resizing, and the tuples it frees pile up in the per-size
+    # tuple free lists (up to 2000 of each size, megabytes in all)
+    m = lcm(*{c.denominator for c in coeffs.values()})
     return {mt: c.numerator * (m // c.denominator) for mt, c in coeffs.items()}
 
 

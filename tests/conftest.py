@@ -13,9 +13,20 @@ running examples are
   (I = <x^2 + x*y, y - 1>, F = (x - y, x + y + 1)).
 """
 
-import pytest
+import random
+from fractions import Fraction
 
-from modborder import TermOrder, reconstruct_prebasis
+import pytest
+from hypothesis import strategies as st
+
+from modborder import (
+    Prebasis,
+    TermOrder,
+    Vector,
+    module_border_basis,
+    reconstruct_prebasis,
+)
+from modborder.ring import term_deg, terms_up_to_degree
 from modborder.textio import parse_poly, parse_vector
 
 VARS = ["x", "y"]
@@ -122,3 +133,75 @@ def write_case(tmp_path):
         return str(path)
 
     return write
+
+
+# ---------------------------------------------------------------------------
+# random prebases with denominators, for differential tests
+
+
+def random_fraction(rng):
+    """A nonzero rational with denominator up to 9 and, one time in four, a
+    numerator of about 10^12."""
+    big = 10**12 if rng.randrange(4) == 0 else 5
+    sign = rng.choice([-1, 1])
+    return Fraction(sign * rng.randint(1, big), rng.randint(1, 9))
+
+
+@st.composite
+def random_prebases(draw):
+    """(prebasis, is_basis): the border basis of a module of
+    known codimension with rational coefficients, or that basis with one
+    coefficient changed (then, as a rule, not a basis), for n <= 3 and
+    rank <= 3.
+
+    Component k is generated by c*x_i^a_ki plus up to three random terms of
+    lower degree, all with coefficients from `random_fraction`; each
+    component k > 1 is then added, times a random integer, to e1, an
+    automorphism of P^r.  A leading coefficient of about 10^12 puts a
+    denominator of that size into the basis."""
+    nvars = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 3))
+    top = 3 if nvars * rank < 6 and nvars < 3 else 2
+    exps = [
+        tuple(draw(st.integers(1, top)) for _ in range(nvars))
+        for _ in range(rank)
+    ]
+    order = TermOrder(draw(st.sampled_from(["degrevlex", "deglex", "lex"])))
+    perturb = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    rng = random.Random(seed)
+    gens = []
+    for k, a in enumerate(exps, start=1):
+        mix = rng.randint(-2, 2)
+        for i in range(nvars):
+            lead = tuple(a[i] if j == i else 0 for j in range(nvars))
+            poly = {lead: random_fraction(rng)}
+            pool = terms_up_to_degree(nvars, a[i] - 1)
+            for t in rng.sample(pool, min(3, len(pool))):
+                poly[t] = random_fraction(rng)
+            coeffs = {(t, k): x for t, x in poly.items()}
+            if k > 1 and mix:
+                coeffs.update({(t, 1): mix * x for t, x in poly.items()})
+            gens.append(Vector(nvars, rank, coeffs))
+    om, g = module_border_basis(gens, order)
+    if perturb:
+        coeffs = [list(row) for row in g.coeffs]
+        i, j = rng.randrange(om.mu), rng.randrange(om.nu)
+        coeffs[i][j] += random_fraction(rng)
+        g = Prebasis(om, coeffs)
+    return g, not perturb
+
+
+def random_vectors(rng, om, count):
+    """`count` random vectors with up to six terms of degree up to two above
+    the border and coefficients from `random_fraction`."""
+    top = max(term_deg(t) for t, _ in om.border_terms) + 2
+    pool = terms_up_to_degree(om.nvars, top)
+    out = []
+    for _ in range(count):
+        coeffs = {}
+        for _ in range(rng.randint(1, 6)):
+            mt = (rng.choice(pool), rng.randint(1, om.rank))
+            coeffs[mt] = random_fraction(rng)
+        out.append(Vector(om.nvars, om.rank, coeffs))
+    return out

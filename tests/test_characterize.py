@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from modborder import (
     NeighborPair,
@@ -25,7 +26,7 @@ from modborder import (
 )
 from modborder.characterize import _mat_mul
 
-from conftest import pol, vec
+from conftest import pol, random_prebases, vec
 
 X_GOLDEN = [
     [0, 0, 1, 0, 0, 0],
@@ -80,6 +81,34 @@ def test_commuting_check_golden(prebasis7):
     assert pair == (0, 1)
     assert _mat_mul(mm[0], mm[1]) == XY_GOLDEN
     assert _mat_mul(mm[1], mm[0]) == YX_GOLDEN
+
+
+def _fraction_mul(a, b):
+    """The product of two square Fraction matrices, entry by entry."""
+    n = range(len(b))
+    return [
+        [sum((row[k] * b[k][j] for k in n), Fraction(0)) for j in n]
+        for row in a
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_prebases())
+def test_commuting_check_matches_fraction_products(case):
+    # the check compares integer products of the scaled matrices; the
+    # verdict and the first failing pair are those of the Fraction products
+    g, is_basis = case
+    mm = mult_matrices(g)
+    want = (True, None)
+    pairs = [(s, u) for s in range(len(mm)) for u in range(s + 1, len(mm))]
+    for s, u in pairs:
+        if _fraction_mul(mm[s], mm[u]) != _fraction_mul(mm[u], mm[s]):
+            want = (False, (s, u))
+            break
+    assert commuting_check(mm) == want
+    if is_basis:
+        assert want == (True, None)
+    assert all(type(x) is Fraction for m in mm for row in m for x in row)
 
 
 def test_column_encodes_normal_remainder(basis4):

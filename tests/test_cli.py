@@ -14,6 +14,8 @@ import pytest
 
 from conftest import BASIS4_FILE, MBBA_FILE, PREBASIS7_FILE, QUOT_FILE, SUB_FILE
 from modborder.cli import main
+from modborder.ring import terms_up_to_degree
+from modborder.textio import format_term
 
 
 def run(capsys, argv):
@@ -243,6 +245,25 @@ def test_precondition_error(write_case, capsys):
     rc, _, err = run(capsys, ["compute", path, "--max-degree", "6"])
     assert rc == 3
     assert err == "error: codimension possibly infinite (cap 6 reached)\n"
+
+
+def test_reconstruction_search_cap_exits_3(write_case, capsys):
+    # every term of degree <= 9 as a vector: no order module fits, and the
+    # search for one gives up instead of running for seconds
+    monomials = [
+        f"{format_term(t, ['x', 'y'])}*e1" for t in terms_up_to_degree(2, 9)
+    ]
+    path = write_case(
+        "ring Q[x,y]\nrank 1\norder degrevlex\nvectors:\n"
+        + "\n".join(monomials) + "\n"
+    )
+    rc, out, err = run(capsys, ["check", path])
+    assert rc == 3
+    assert out == ""
+    assert err == (
+        "error: prebasis reconstruction gave up: more than 1000 candidate "
+        "order modules searched\n"
+    )
 
 
 def test_help_exits_zero(capsys):

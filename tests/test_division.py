@@ -2,9 +2,12 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modborder import (
     OrderIdeal,
@@ -21,11 +24,19 @@ from modborder import (
     reconstruct_prebasis,
     remainder_vector,
     rewrite_step,
+    sv_vector,
 )
 
-from modborder.ring import term_deg, terms_up_to_degree
+from modborder.division import DivisionResult
+from modborder.ring import Poly, term_deg, term_mul, terms_up_to_degree
 
-from conftest import PREBASIS7, pol, vec
+from conftest import (
+    PREBASIS7,
+    pol,
+    random_prebases,
+    random_vectors,
+    vec,
+)
 
 X, Y = (1, 0), (0, 1)
 
@@ -187,6 +198,69 @@ def test_division_wrong_module_rejected(prebasis7):
         divide(prebasis7, Vector.zero(2, 3))
 
 
+def _reference_divide(g, v, choose=None):
+    """Border division as one Fraction coefficient dict, looking up the
+    M-index of the whole remainder at every step: the loop that `divide`
+    replaced, kept as its oracle."""
+    om = g.om
+    index, mod_key = om.index, om.order.mod_key
+    quotients = [{} for _ in range(om.nu)]
+    q = dict(v.coeffs)
+    while q:
+        inds = {mt: index(mt) for mt in q}
+        ind = max(inds.values())
+        if ind == 0:
+            break
+        cands = [mt for mt, i in inds.items() if i == ind]
+        cands.sort(key=mod_key, reverse=True)
+        mt = cands[0] if choose is None else choose(cands)
+        a = q[mt]
+        tprime, bmt = om.factor_through_border(mt)
+        j = om.border_pos[bmt]
+        pj = quotients[j]
+        pj[tprime] = pj.get(tprime, 0) + a
+        for (s, k), c in g.vector(j).coeffs.items():
+            key = (term_mul(tprime, s), k)
+            r = q.get(key, 0) - a * c
+            if r:
+                q[key] = r
+            else:
+                del q[key]
+    coords = [q.get(mt, Fraction(0)) for mt in om.module_terms]
+    return DivisionResult([Poly(om.nvars, p) for p in quotients], coords)
+
+
+def _recording_choice(seed):
+    """A random `choose` hook that keeps a copy of every candidate list."""
+    rng = random.Random(seed)
+    seen = []
+
+    def choose(cands):
+        seen.append(list(cands))
+        return rng.choice(cands)
+
+    return choose, seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_prebases(), st.integers(0, 2**16))
+def test_division_matches_fraction_reference(case, seed):
+    g, _ = case
+    rng = random.Random(seed)
+    vectors = random_vectors(rng, g.om, 4)
+    nu = g.om.nu
+    for _ in range(4):
+        i, j = rng.randrange(nu), rng.randrange(nu)
+        if i != j:
+            vectors.append(sv_vector(g, i, j))
+    for v in vectors:
+        assert divide(g, v) == _reference_divide(g, v)
+        choose, seen = _recording_choice(seed)
+        want_choose, want_seen = _recording_choice(seed)
+        assert divide(g, v, choose) == _reference_divide(g, v, want_choose)
+        assert seen == want_seen
+
+
 # ---------------------------------------------------------------------------
 # rewrite steps
 
@@ -298,3 +372,24 @@ def test_reconstruction_errors(order):
         )
     with pytest.raises(PreconditionError, match="different modules"):
         reconstruct_prebasis([vec("x*e1"), Vector.zero(2, 3)], order)
+
+
+def _staircase_vectors(d):
+    """x^a*y^b*e1 for all a + b <= d: every demotion of the top layer of the
+    staircase is a candidate order module, so their number is a Catalan
+    number."""
+    return [
+        Vector(2, 1, {(t, 1): Fraction(1)}) for t in terms_up_to_degree(2, d)
+    ]
+
+
+def test_reconstruction_search_is_capped(order):
+    with pytest.raises(PreconditionError, match="do not form"):
+        reconstruct_prebasis(_staircase_vectors(6), order)
+    start = time.monotonic()
+    with pytest.raises(
+        PreconditionError,
+        match="gave up: more than 1000 candidate order modules searched",
+    ):
+        reconstruct_prebasis(_staircase_vectors(9), order)
+    assert time.monotonic() - start < 5.0

@@ -54,7 +54,14 @@ def test_identity_and_mul():
     b = [[0, 1], [1, 0]]
     assert _mat_mul(a, b) == [[2, 1], [4, 3]]
     assert _mat_mul(a, b) != _mat_mul(b, a)
-    assert all(type(x) is Fraction for row in _mat_mul(a, b) for x in row)
+    # the entries keep the inputs' type: ints stay ints, Fractions Fractions
+    assert all(type(x) is int for row in _mat_mul(a, b) for x in row)
+    fa = [[Fraction(x, 3) for x in row] for row in a]
+    fb = [[Fraction(x) for x in row] for row in b]
+    assert _mat_mul(fa, fb) == [
+        [Fraction(2, 3), Fraction(1, 3)], [Fraction(4, 3), 1],
+    ]
+    assert all(type(x) is Fraction for row in _mat_mul(fa, fb) for x in row)
     # mu = 0: the empty product
     assert _mat_mul([], []) == []
 
