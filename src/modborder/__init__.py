@@ -28,7 +28,6 @@ from .errors import BorderBasisError, ParseError, PreconditionError
 from .groebner import (
     gb_normal_form,
     groebner_basis,
-    ideal_intersection,
     leading_module,
     macaulay_complement,
     naive_border_basis,
@@ -78,7 +77,6 @@ __all__ = [
     "divide",
     "gb_normal_form",
     "groebner_basis",
-    "ideal_intersection",
     "is_border_basis",
     "leading_module",
     "lift_neighbor_syzygy",

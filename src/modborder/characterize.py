@@ -104,13 +104,24 @@ def _mat_vec(m, v):
 
 
 def sv_vector(g, i, j):
-    """SV(G_i, G_j) = (lcm/b_i) G_i - (lcm/b_j) G_j (components may differ)."""
+    """SV(G_i, G_j) = (lcm/b_i) G_i - (lcm/b_j) G_j (components may differ),
+    built in one coefficient dict."""
     bi, _ = g.om.border_terms[i]
     bj, _ = g.om.border_terms[j]
     lcm = term_lcm(bi, bj)
-    return g.vector(i).mul_term(term_quot(lcm, bi)) - g.vector(j).mul_term(
-        term_quot(lcm, bj)
-    )
+    qi, qj = term_quot(lcm, bi), term_quot(lcm, bj)
+    gi, gj = g.vector(i), g.vector(j)
+    out = {(term_mul(qi, t), k): c for (t, k), c in gi.coeffs.items()}
+    # every coefficient of G_j is nonzero, so a difference that cancels had
+    # its key in out
+    for (t, k), c in gj.coeffs.items():
+        mt = (term_mul(qj, t), k)
+        d = out.get(mt, 0) - c
+        if d:
+            out[mt] = d
+        else:
+            del out[mt]
+    return Vector(gi.nvars, gi.rank, out)
 
 
 class NeighborPair:

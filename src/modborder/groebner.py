@@ -146,6 +146,32 @@ def leading_module(gb, order):
     return [g.leading_modterm(order)[0] for g in gb]
 
 
+def _normal_set(lts, nvars, bound):
+    """The terms outside the ideal generated by the terms `lts`, up to
+    degree `bound` and lowest degree first; the set of their multiples by a
+    variable that lie in the ideal, their border terms; and whether some
+    term outside the ideal has a degree above `bound`."""
+    if term_one(nvars) in lts:
+        return [], set(), False
+    level = [term_one(nvars)]
+    out, seen, border = [], set(level), set()
+    while level and term_deg(level[0]) <= bound:
+        out += level
+        nxt = []
+        for t in level:
+            for i in range(nvars):
+                s = t[:i] + (t[i] + 1,) + t[i + 1 :]
+                if s in seen or s in border:
+                    continue
+                if any(term_divides(l, s) for l in lts):
+                    border.add(s)
+                else:
+                    seen.add(s)
+                    nxt.append(s)
+        level = nxt
+    return out, border, bool(level)
+
+
 def macaulay_complement(gb, order, bound=32):
     """The order module of all module terms outside the leading-term module
     of gb.  Finiteness is decided by the pure-power criterion."""
@@ -158,23 +184,15 @@ def macaulay_complement(gb, order, bound=32):
     ideals = []
     for k in range(1, rank + 1):
         comp = [t for t, kk in lts if kk == k]
-        if any(t == term_one(nvars) for t in comp):
-            ideals.append(OrderIdeal(nvars, []))
-            continue
         bounds = pure_power_bounds(comp, nvars)
-        if None in bounds:
+        if term_one(nvars) not in comp and None in bounds:
             raise PreconditionError(
                 "complement is not finite: no pure power of "
                 f"x{bounds.index(None) + 1} among the leading terms of "
                 f"component {k}"
             )
-        box = [range(a) for a in bounds]
-        terms = [
-            t
-            for t in itertools.product(*box)
-            if not any(term_divides(s, t) for s in comp)
-        ]
-        if any(term_deg(t) > bound for t in terms):
+        terms, _, past = _normal_set(comp, nvars, bound)
+        if past:
             raise PreconditionError(
                 f"complement exceeds the degree bound {bound}"
             )
@@ -250,7 +268,10 @@ def syzygies(polys, order=None):
 
 def ideal_intersection(hgens, fgens, order=None):
     """Coefficient tuples (q_1w..q_rw) with sum_v q_vw f_v generating
-    I ∩ J for I = <hgens>, J = <fgens>."""
+    I ∩ J for I = <hgens>, J = <fgens>.
+
+    A test oracle, through the syzygies of hgens + fgens; the subideal
+    border basis finds its module by linear algebra instead."""
     if order is None:
         order = TermOrder("degrevlex")
     hgens, fgens = list(hgens), list(fgens)

@@ -25,6 +25,7 @@ from modborder import (
     sv_vector,
 )
 from modborder.characterize import _mat_mul
+from modborder.ring import term_lcm, term_quot
 
 from conftest import pol, random_prebases, vec
 
@@ -186,6 +187,24 @@ def test_sv_vector_golden(prebasis7):
     sv = sv_vector(prebasis7, 0, 1)
     assert sv == vec("-y^2*e1 + x*e2 + y*e2")
     assert normal_remainder(prebasis7, sv) == vec("x*e1 + y*e1 + e1 + e2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_prebases())
+def test_sv_vector_matches_vector_arithmetic(case):
+    # the one-dict construction against (lcm/b_i) G_i - (lcm/b_j) G_j in
+    # Vector arithmetic, for every pair, with equal coefficient order
+    g, _ = case
+    terms = g.om.border_terms
+    for i in range(len(terms)):
+        for j in range(i + 1, len(terms)):
+            bi, bj = terms[i][0], terms[j][0]
+            lcm = term_lcm(bi, bj)
+            gi = g.vector(i).mul_term(term_quot(lcm, bi))
+            want = gi - g.vector(j).mul_term(term_quot(lcm, bj))
+            got = sv_vector(g, i, j)
+            assert got == want
+            assert list(got.coeffs) == list(want.coeffs)
 
 
 def test_buchberger_check_golden(prebasis7):

@@ -247,6 +247,39 @@ def test_precondition_error(write_case, capsys):
     assert err == "error: codimension possibly infinite (cap 6 reached)\n"
 
 
+X40_FILE = "ring Q[x]\nrank 1\norder degrevlex\nideal:\nx^40\nsubideal:\nx\n"
+
+
+def test_subideal_degree_cap(write_case, capsys):
+    # the normal set of <x^40> reaches degree 39: past the default cap, and
+    # within a cap of 41
+    path = write_case(X40_FILE)
+    rc, out, err = run(capsys, ["subideal", path])
+    assert (rc, out) == (3, "")
+    assert err == "error: codimension possibly infinite (cap 32 reached)\n"
+    rc, out, err = run(capsys, ["subideal", path, "--max-degree", "41"])
+    assert (rc, err) == (0, "")
+    assert out.endswith("G1 = x^39*f1\nG1 expanded = x^40\n")
+
+
+@pytest.mark.parametrize(
+    "ideal, subideal, basis",
+    [("x^33", "x", "G1 = x^32*f1\nG1 expanded = x^33\n"),
+     ("x^40", "x^39", "G1 = x*f1\nG1 expanded = x^40\n")],
+)
+def test_subideal_within_the_default_cap(write_case, capsys, ideal, subideal,
+                                         basis):
+    # x^33 is one degree past the cap; the normal set of <x^40> reaches
+    # degree 39; U has a generator within the cap either way
+    path = write_case(
+        f"ring Q[x]\nrank 1\norder degrevlex\nideal:\n{ideal}\n"
+        f"subideal:\n{subideal}\n"
+    )
+    rc, out, err = run(capsys, ["subideal", path])
+    assert (rc, err) == (0, "")
+    assert out.endswith(basis)
+
+
 def test_reconstruction_search_cap_exits_3(write_case, capsys):
     # every term of degree <= 9 as a vector: no order module fits, and the
     # search for one gives up instead of running for seconds

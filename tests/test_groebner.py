@@ -18,14 +18,13 @@ from modborder import (
     Vector,
     gb_normal_form,
     groebner_basis,
-    ideal_intersection,
     leading_module,
     macaulay_complement,
     module_border_basis,
     naive_border_basis,
     syzygies,
 )
-from modborder.groebner import modterm_divides
+from modborder.groebner import ideal_intersection, modterm_divides
 
 from conftest import PREBASIS7, pol, vec
 
